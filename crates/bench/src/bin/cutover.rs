@@ -57,7 +57,7 @@ fn main() {
             });
             let t_iter = median3(|| {
                 let opts = ThickRestartOptions {
-                    seeds: kernel_seeds(&w),
+                    seeds: kernel_seeds(&w.component_labels(0.0), &w.degrees()),
                     ..ThickRestartOptions::default()
                 };
                 let _ = std::hint::black_box(

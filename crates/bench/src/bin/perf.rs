@@ -530,7 +530,7 @@ fn main() {
         tmax,
         |t| {
             let opts = ThickRestartOptions {
-                seeds: kernel_seeds(&w_sp),
+                seeds: kernel_seeds(&w_sp.component_labels(0.0), &w_sp.degrees()),
                 threads: t,
                 ..ThickRestartOptions::default()
             };
@@ -591,7 +591,7 @@ fn main() {
         let mv0_big = counter("spectral.matvecs");
         let t_big = median_ns(1, || {
             let opts = ThickRestartOptions {
-                seeds: kernel_seeds(&w_big),
+                seeds: kernel_seeds(&w_big.component_labels(0.0), &w_big.degrees()),
                 threads: tmax,
                 ..ThickRestartOptions::default()
             };

@@ -9,6 +9,7 @@ use fedsc_graph::laplacian::normalized_laplacian;
 use fedsc_graph::sparse::sparse_normalized_laplacian;
 use fedsc_graph::{AffinityGraph, SparseAffinity};
 use fedsc_linalg::eigh::{k_smallest, lanczos_beats_dense, SymmetricEig};
+use fedsc_linalg::lanczos::SymOp;
 use fedsc_linalg::thick_restart::{thick_restart_smallest, ThickRestartOptions};
 use fedsc_linalg::{vector, Matrix, Result};
 use rand::Rng;
@@ -44,6 +45,15 @@ impl SpectralOptions {
 /// Clusters the nodes of an affinity graph into `opts.k` groups.
 ///
 /// Returns one label in `0..k` per node.
+///
+/// Above the dense eigensolver cutover, a graph with `2 <= c <= k` edged
+/// components seeds the thick-restart solver with its [`kernel_seeds`]: the
+/// `c` exact zero eigenvectors then span the first block, so a noiseless
+/// `c`-piece graph converges on the first Rayleigh–Ritz pass instead of
+/// digging a `c`-fold degenerate eigenvalue out by restarts. Connected
+/// graphs (`c = 1`, one seed measured slower than none) and `c > k` (the
+/// seeds cannot all be used) keep the unseeded [`k_smallest`] route, as does
+/// everything below the cutover.
 pub fn spectral_clustering<R: Rng + ?Sized>(
     g: &AffinityGraph,
     opts: &SpectralOptions,
@@ -55,6 +65,13 @@ pub fn spectral_clustering<R: Rng + ?Sized>(
     }
     let k = opts.k.clamp(1, n);
     let lap = normalized_laplacian(g);
+    if lanczos_beats_dense(n, k) {
+        let seeds = kernel_seeds(&g.connected_components(0.0), &g.degrees());
+        if (2..=k).contains(&seeds.len()) {
+            let eig = seeded_smallest(&lap, k, seeds, opts.threads)?;
+            return embed_and_cluster(&eig, n, k, opts, rng);
+        }
+    }
     let eig = k_smallest(&lap, k)?;
     embed_and_cluster(&eig, n, k, opts, rng)
 }
@@ -95,14 +112,26 @@ pub fn spectral_clustering_sparse<R: Rng + ?Sized>(
         .field("n", n as u64)
         .field("k", k as u64);
     let lap = sparse_normalized_laplacian(w);
-    let seeds = kernel_seeds(w);
+    let seeds = kernel_seeds(&w.component_labels(0.0), &w.degrees());
+    let eig = seeded_smallest(&lap, k, seeds, opts.threads)?;
+    embed_and_cluster(&eig, n, k, opts, rng)
+}
+
+/// The `k` smallest eigenpairs of a normalized Laplacian by thick-restart
+/// Lanczos, with the exact kernel vectors `seeds` as the first block.
+fn seeded_smallest<A: SymOp + ?Sized>(
+    lap: &A,
+    k: usize,
+    seeds: Vec<Vec<f64>>,
+    threads: usize,
+) -> Result<SymmetricEig> {
     let zero_mult = seeds.len().min(k);
     let tr_opts = ThickRestartOptions {
         seeds,
-        threads: opts.threads.max(1),
+        threads: threads.max(1),
         ..ThickRestartOptions::default()
     };
-    let eig = thick_restart_smallest(&lap, k, &tr_opts)?;
+    let eig = thick_restart_smallest(lap, k, &tr_opts)?;
     // Cross-check (debug builds): a graph with `c` edged components
     // carries an exact `c`-fold zero eigenvalue (isolated nodes instead
     // keep identity rows, eigenvalue 1). Kernel seeding makes recovering
@@ -121,20 +150,19 @@ pub fn spectral_clustering_sparse<R: Rng + ?Sized>(
             .filter(|&&v| v.abs() <= ZERO_EIGENVALUE_TOL)
             .count(),
     );
-    embed_and_cluster(&eig, n, k, opts, rng)
+    Ok(eig)
 }
 
-/// Exact kernel vectors of `w`'s normalized Laplacian, one per **edged**
-/// connected component: `D^{1/2} 1_c`, normalized. For node `i` in
-/// component `c` the Laplacian row gives
+/// Exact kernel vectors of a graph's normalized Laplacian, one per
+/// **edged** connected component: `D^{1/2} 1_c`, normalized, from the
+/// graph's per-node component `labels` (dense ids from `0`) and degrees
+/// `deg`. For node `i` in component `c` the Laplacian row gives
 /// `sqrt(d_i) - (1/sqrt(d_i)) * sum_{j in c} w_ij = 0` exactly, so these
 /// span the degenerate zero eigenspace by construction. Isolated nodes
 /// (degree 0) keep identity rows in the Laplacian — eigenvalue 1, not part
 /// of the kernel — and contribute no seed.
-pub fn kernel_seeds(w: &SparseAffinity) -> Vec<Vec<f64>> {
-    let n = w.len();
-    let labels = w.component_labels(0.0);
-    let deg = w.degrees();
+pub fn kernel_seeds(labels: &[usize], deg: &[f64]) -> Vec<Vec<f64>> {
+    let n = labels.len();
     let ncomp = labels.iter().map(|&c| c + 1).max().unwrap_or(0);
     let mut comp_deg = vec![0.0f64; ncomp];
     for i in 0..n {
@@ -248,29 +276,82 @@ mod tests {
         assert_ne!(labels[0], labels[8]);
     }
 
-    #[test]
-    fn many_blocks_above_lanczos_threshold() {
-        // 30 blocks of 17 nodes = 510 > the 400-node Lanczos cutover in
-        // k_smallest: the near-degenerate 30-fold zero eigenvalue exercises
-        // the deflated restart path (regression test for the bug where a
-        // single Krylov sequence found only one copy per degenerate
-        // eigenvalue and clustering collapsed).
-        let g = block_graph(&vec![17; 30], 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let labels = spectral_clustering(&g, &SpectralOptions::new(30), &mut rng).unwrap();
-        // Every block must be pure and blocks must be separated.
+    /// Asserts that every run of `size` consecutive nodes is one pure
+    /// cluster and that the `blocks` runs get distinct labels.
+    fn assert_blocks_recovered(labels: &[usize], blocks: usize, size: usize) {
         let mut block_label = Vec::new();
-        for b in 0..30 {
-            let base = labels[b * 17];
+        for b in 0..blocks {
+            let base = labels[b * size];
             assert!(
-                labels[b * 17..(b + 1) * 17].iter().all(|&l| l == base),
+                labels[b * size..(b + 1) * size].iter().all(|&l| l == base),
                 "block {b} is split"
             );
             block_label.push(base);
         }
         block_label.sort_unstable();
         block_label.dedup();
-        assert_eq!(block_label.len(), 30, "blocks were merged");
+        assert_eq!(block_label.len(), blocks, "blocks were merged");
+    }
+
+    /// The unseeded route: `k_smallest` on the dense Laplacian, then the
+    /// NJW embedding.
+    fn unseeded_labels(g: &AffinityGraph, k: usize, seed: u64) -> Vec<usize> {
+        let eig = k_smallest(&normalized_laplacian(g), k).unwrap();
+        let opts = SpectralOptions::new(k);
+        embed_and_cluster(&eig, g.len(), k, &opts, &mut StdRng::seed_from_u64(seed)).unwrap()
+    }
+
+    #[test]
+    fn many_blocks_above_lanczos_threshold() {
+        // 30 blocks of 17 nodes = 510 > the 400-node Lanczos cutover with
+        // c = k = 30 components: the 30-fold zero eigenvalue is seeded
+        // with its exact kernel vectors (regression test for the bug where
+        // a single Krylov sequence found only one copy per degenerate
+        // eigenvalue and clustering collapsed).
+        let g = block_graph(&vec![17; 30], 1.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(7);
+        let labels = spectral_clustering(&g, &SpectralOptions::new(30), &mut rng).unwrap();
+        assert_blocks_recovered(&labels, 30, 17);
+    }
+
+    #[test]
+    fn fewer_components_than_clusters_above_cutover() {
+        // c = 3 < k = 6: three components, each two 80-node blocks joined
+        // by weak edges. The seeds pin the three zeros; the solver must
+        // still find the three small nonzero eigenvalues that split each
+        // component into its blocks.
+        let n = 480;
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && i / 160 == j / 160 {
+                    m[(i, j)] = if i / 80 == j / 80 { 1.0 } else { 0.01 };
+                }
+            }
+        }
+        let g = AffinityGraph::from_symmetric(&m);
+        assert_eq!(g.num_components(0.0), 3);
+        let mut rng = StdRng::seed_from_u64(8);
+        let labels = spectral_clustering(&g, &SpectralOptions::new(6), &mut rng).unwrap();
+        assert_blocks_recovered(&labels, 6, 80);
+    }
+
+    #[test]
+    fn connected_and_over_split_graphs_keep_the_unseeded_route() {
+        // c = 1 (weak edges between all blocks) and c = 30 > k = 20, both
+        // past the cutover: bitwise the `k_smallest` labels. Both ask for
+        // k vectors out of a degenerate eigenspace (the bulk of complete
+        // blocks; 20 of 30 zeros), where another solve returns another
+        // basis and so other labels.
+        for (g, k) in [
+            (block_graph(&[120; 4], 1.0, 0.01), 6),
+            (block_graph(&vec![17; 30], 1.0, 0.0), 20),
+        ] {
+            assert!(lanczos_beats_dense(g.len(), k));
+            let opts = SpectralOptions::new(k);
+            let labels = spectral_clustering(&g, &opts, &mut StdRng::seed_from_u64(5)).unwrap();
+            assert_eq!(labels, unseeded_labels(&g, k, 5));
+        }
     }
 
     /// Sparse affinity and the bitwise-equal dense graph for a block
@@ -324,23 +405,12 @@ mod tests {
     #[test]
     fn sparse_path_recovers_blocks_above_cutover() {
         // 30 blocks of 17 nodes = 510 > 400: the CSR Laplacian drives the
-        // matrix-free deflated Lanczos solver end to end.
+        // matrix-free thick-restart Lanczos solver end to end.
         let (sparse, _) = block_codes(&vec![17; 30]);
         let mut rng = StdRng::seed_from_u64(7);
         let labels =
             spectral_clustering_sparse(&sparse, &SpectralOptions::new(30), &mut rng).unwrap();
-        let mut block_label = Vec::new();
-        for b in 0..30 {
-            let base = labels[b * 17];
-            assert!(
-                labels[b * 17..(b + 1) * 17].iter().all(|&l| l == base),
-                "block {b} is split"
-            );
-            block_label.push(base);
-        }
-        block_label.sort_unstable();
-        block_label.dedup();
-        assert_eq!(block_label.len(), 30, "blocks were merged");
+        assert_blocks_recovered(&labels, 30, 17);
     }
 
     /// `chains` disconnected path graphs of `len` nodes each, weight
@@ -406,7 +476,7 @@ mod tests {
         // per edged component (isolated nodes excluded), each with a
         // Laplacian residual at rounding level.
         let w = path_chains(3, 50);
-        let seeds = kernel_seeds(&w);
+        let seeds = kernel_seeds(&w.component_labels(0.0), &w.degrees());
         assert_eq!(seeds.len(), 3);
         let lap = sparse_normalized_laplacian(&w);
         for (a, sa) in seeds.iter().enumerate() {
@@ -428,7 +498,10 @@ mod tests {
         ];
         codes.truncate(3);
         let small = fedsc_graph::SparseAffinity::from_codes(&codes);
-        assert_eq!(kernel_seeds(&small).len(), 1);
+        assert_eq!(
+            kernel_seeds(&small.component_labels(0.0), &small.degrees()).len(),
+            1
+        );
     }
 
     #[test]

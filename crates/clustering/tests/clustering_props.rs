@@ -116,7 +116,7 @@ proptest! {
         // extras. Asking for q + 2 pairs checks both sides of the gap.
         let q = sizes.len();
         let w = block_affinity(&sizes);
-        let seeds = kernel_seeds(&w);
+        let seeds = kernel_seeds(&w.component_labels(0.0), &w.degrees());
         prop_assert_eq!(seeds.len(), q);
         let lap = sparse_normalized_laplacian(&w);
         let opts = ThickRestartOptions { seeds, ..ThickRestartOptions::default() };

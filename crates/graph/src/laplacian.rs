@@ -7,7 +7,7 @@
 //! eigenvalue per ground-truth cluster).
 
 use crate::affinity::AffinityGraph;
-use fedsc_linalg::eigh::{eigh, SymmetricEig};
+use fedsc_linalg::eigh::eigvalsh;
 use fedsc_linalg::{Matrix, Result};
 
 /// Builds the normalized Laplacian `I - D^{-1/2} W D^{-1/2}`.
@@ -16,18 +16,27 @@ use fedsc_linalg::{Matrix, Result};
 /// eigenvalue of exactly 1 with that node's indicator as eigenvector — the
 /// conventional choice that keeps the matrix well defined.
 pub fn normalized_laplacian(g: &AffinityGraph) -> Matrix {
-    let n = g.len();
-    let deg = g.degrees();
-    let inv_sqrt: Vec<f64> = deg
+    let nodes: Vec<usize> = (0..g.len()).collect();
+    laplacian_block(g, &inv_sqrt_degrees(g), &nodes)
+}
+
+/// `1/sqrt(d_i)` per node, `0` for isolated nodes.
+fn inv_sqrt_degrees(g: &AffinityGraph) -> Vec<f64> {
+    g.degrees()
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let mut l = Matrix::identity(n);
-    for j in 0..n {
-        for i in 0..n {
+        .collect()
+}
+
+/// The principal block of the normalized Laplacian on `nodes` (in the
+/// given order), with the full graph's degree scalings.
+fn laplacian_block(g: &AffinityGraph, inv_sqrt: &[f64], nodes: &[usize]) -> Matrix {
+    let mut l = Matrix::identity(nodes.len());
+    for (b, &j) in nodes.iter().enumerate() {
+        for (a, &i) in nodes.iter().enumerate() {
             let w = g.weight(i, j);
             if w != 0.0 {
-                l[(i, j)] -= inv_sqrt[i] * w * inv_sqrt[j];
+                l[(a, b)] -= inv_sqrt[i] * w * inv_sqrt[j];
             }
         }
     }
@@ -47,9 +56,45 @@ pub fn unnormalized_laplacian(g: &AffinityGraph) -> Matrix {
     l
 }
 
-/// Full spectrum of the normalized Laplacian (ascending).
-pub fn laplacian_spectrum(g: &AffinityGraph) -> Result<SymmetricEig> {
-    eigh(&normalized_laplacian(g))
+/// The eigenvalues of a graph's normalized Laplacian.
+#[derive(Debug, Clone)]
+#[must_use = "dropping a spectrum discards the eigenvalue work"]
+pub struct LaplacianSpectrum {
+    /// All `n` eigenvalues, ascending.
+    pub eigenvalues: Vec<f64>,
+}
+
+/// Full spectrum of the normalized Laplacian (ascending), eigenvalues only.
+///
+/// The normalized Laplacian is block-diagonal by connected component (no
+/// edge, no off-diagonal entry), so its spectrum is exactly the union of the
+/// per-component spectra. Each component with edges gets one values-only
+/// [`eigvalsh`] on its own block; an isolated node contributes the
+/// eigenvalue `1` of its identity row. A graph of `c` equal components thus
+/// costs `c` solves of size `n/c` instead of one of size `n`, and a
+/// connected graph costs one values-only solve of the whole Laplacian
+/// (bitwise the eigenvalues of `eigh(&normalized_laplacian(g))`).
+pub fn laplacian_spectrum(g: &AffinityGraph) -> Result<LaplacianSpectrum> {
+    let n = g.len();
+    let comp = g.connected_components(0.0);
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (i, &c) in comp.iter().enumerate() {
+        if c == members.len() {
+            members.push(Vec::new());
+        }
+        members[c].push(i);
+    }
+    let inv_sqrt = inv_sqrt_degrees(g);
+    let mut eigenvalues = Vec::with_capacity(n);
+    for nodes in &members {
+        if nodes.len() == 1 {
+            eigenvalues.push(1.0);
+        } else {
+            eigenvalues.extend(eigvalsh(&laplacian_block(g, &inv_sqrt, nodes))?);
+        }
+    }
+    eigenvalues.sort_by(f64::total_cmp);
+    Ok(LaplacianSpectrum { eigenvalues })
 }
 
 /// The paper's Eq. (3): estimates the number of clusters as the position of

@@ -1,10 +1,10 @@
 //! Symmetric eigendecomposition.
 //!
 //! The classic two-stage dense path: Householder tridiagonalization
-//! (`tred2`) followed by the implicit-shift QL iteration (`tql2`), both with
-//! eigenvector accumulation. This is the solver behind every spectral step in
-//! the workspace — normalized spectral clustering, the eigengap heuristic,
-//! and the CONN connectivity metric.
+//! (`tred2`) followed by the implicit-shift QL iteration (`tql2`), with or
+//! without eigenvector accumulation. This is the solver behind every
+//! spectral step in the workspace — normalized spectral clustering, the
+//! eigengap heuristic, and the CONN connectivity metric.
 //!
 //! Eigenvalues are returned in **ascending** order, which is the order
 //! spectral clustering consumes them in (the `k` smallest eigenvectors of the
@@ -33,6 +33,27 @@ const MAX_QL_ITERS: usize = 50;
 /// QL iteration fails to converge (which for symmetric input essentially
 /// never happens in practice).
 pub fn eigh(a: &Matrix) -> Result<SymmetricEig> {
+    let (eigenvalues, eigenvectors) = tridiagonal_ql(a, true)?;
+    Ok(SymmetricEig {
+        eigenvalues,
+        eigenvectors,
+    })
+}
+
+/// Eigenvalues only, ascending — [`eigh`] with the eigenvector
+/// accumulation switched off.
+///
+/// The QL updates of the diagonal and sub-diagonal never read the
+/// accumulated transform, so the result is **bitwise** equal to
+/// `eigh(a)?.eigenvalues` while skipping the `O(n^3)` rotation and
+/// back-transformation work. Same input contract and errors as [`eigh`].
+pub fn eigvalsh(a: &Matrix) -> Result<Vec<f64>> {
+    Ok(tridiagonal_ql(a, false)?.0)
+}
+
+/// Shared body of [`eigh`] / [`eigvalsh`]. With `vectors` off the returned
+/// matrix is `tred2`'s scratch, not eigenvectors.
+fn tridiagonal_ql(a: &Matrix, vectors: bool) -> Result<(Vec<f64>, Matrix)> {
     let (m, n) = a.shape();
     if m != n {
         return Err(LinalgError::ShapeMismatch {
@@ -41,21 +62,20 @@ pub fn eigh(a: &Matrix) -> Result<SymmetricEig> {
         });
     }
     if n == 0 {
-        return Ok(SymmetricEig {
-            eigenvalues: vec![],
-            eigenvectors: Matrix::zeros(0, 0),
-        });
+        return Ok((vec![], Matrix::zeros(0, 0)));
     }
     let mut v = a.clone();
     let mut d = vec![0.0; n]; // diagonal of the tridiagonal form
     let mut e = vec![0.0; n]; // sub-diagonal
-    tred2(&mut v, &mut d, &mut e);
-    tql2(&mut v, &mut d, &mut e)?;
-    sort_ascending(&mut d, &mut v);
-    Ok(SymmetricEig {
-        eigenvalues: d,
-        eigenvectors: v,
-    })
+    tred2(&mut v, &mut d, &mut e, vectors);
+    if vectors {
+        tql2(Some(&mut v), &mut d, &mut e)?;
+        sort_ascending(&mut d, &mut v);
+    } else {
+        tql2(None, &mut d, &mut e)?;
+        d.sort_by(f64::total_cmp);
+    }
+    Ok((d, v))
 }
 
 /// Computes only the `k` smallest eigenpairs.
@@ -111,9 +131,14 @@ fn sort_ascending(d: &mut [f64], v: &mut Matrix) {
     *v = sorted_v;
 }
 
-/// Householder reduction of a real symmetric matrix to tridiagonal form,
-/// accumulating the orthogonal transform in `v` (EISPACK/JAMA `tred2`).
-fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
+/// Householder reduction of a real symmetric matrix to tridiagonal form
+/// (EISPACK/JAMA `tred2`), accumulating the orthogonal transform in `v`
+/// when `vectors` is set.
+///
+/// Without accumulation the reduction loop is unchanged and the diagonal is
+/// read straight off `v`: the accumulation pass only copies `v[(i, i)]` out
+/// before overwriting it, so both branches leave bitwise-equal `d` and `e`.
+fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64], vectors: bool) {
     let n = d.len();
     for j in 0..n {
         d[j] = v[(n - 1, j)];
@@ -186,6 +211,14 @@ fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
         d[i] = h;
     }
 
+    e[0] = 0.0;
+    if !vectors {
+        for (j, dj) in d.iter_mut().enumerate() {
+            *dj = v[(j, j)];
+        }
+        return;
+    }
+
     // Accumulate transformations.
     for i in 0..n.saturating_sub(1) {
         v[(n - 1, i)] = v[(i, i)];
@@ -215,12 +248,12 @@ fn tred2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) {
         v[(n - 1, j)] = 0.0;
     }
     v[(n - 1, n - 1)] = 1.0;
-    e[0] = 0.0;
 }
 
-/// Implicit-shift QL iteration on the tridiagonal form, accumulating
-/// eigenvectors (EISPACK `tql2`).
-fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
+/// Implicit-shift QL iteration on the tridiagonal form (EISPACK `tql2`),
+/// accumulating the rotations into `v` when one is given. The `d`/`e`
+/// updates never read `v`, so eigenvalues do not depend on it.
+fn tql2(mut v: Option<&mut Matrix>, d: &mut [f64], e: &mut [f64]) -> Result<()> {
     let n = d.len();
     for i in 1..n {
         e[i - 1] = e[i];
@@ -291,10 +324,12 @@ fn tql2(v: &mut Matrix, d: &mut [f64], e: &mut [f64]) -> Result<()> {
                     d[i + 1] = h + s * (c * g + s * d[i]);
 
                     // Accumulate the rotation into the eigenvector matrix.
-                    for k in 0..n {
-                        h = v[(k, i + 1)];
-                        v[(k, i + 1)] = s * v[(k, i)] + c * h;
-                        v[(k, i)] = c * v[(k, i)] - s * h;
+                    if let Some(v) = v.as_deref_mut() {
+                        for k in 0..n {
+                            let vk = v[(k, i + 1)];
+                            v[(k, i + 1)] = s * v[(k, i)] + c * vk;
+                            v[(k, i)] = c * v[(k, i)] - s * vk;
+                        }
                     }
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -428,6 +463,7 @@ mod tests {
     #[test]
     fn rejects_non_square() {
         assert!(eigh(&Matrix::zeros(2, 3)).is_err());
+        assert!(eigvalsh(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]

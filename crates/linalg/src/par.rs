@@ -142,13 +142,20 @@ const SPIN_POLLS: usize = 4096;
 /// resets to [`SPIN_POLLS`], so an idle pool still parks quickly.
 const MAX_SPIN_POLLS: usize = 8 * SPIN_POLLS;
 
-/// Indices claimed per `fetch_add` in the fan-out loops. Claiming blocks
-/// instead of single indices cuts contention on the shared claim counter by
-/// 8x and makes each participant's result-slot writes mostly contiguous, so
-/// participants stop invalidating each other's cache lines through the
-/// `Slots` vector (the false-sharing component of BENCH_PR7's `lasso_batch`
-/// 2-thread regression). Small enough that a 128-item fan-out (the
+/// Indices claimed per `fetch_add` in the fine-grained fan-out loops
+/// ([`par_map`] / [`par_map_with`]). Claiming blocks instead of single
+/// indices cuts contention on the shared claim counter by 8x and makes each
+/// participant's result-slot writes mostly contiguous, so participants stop
+/// invalidating each other's cache lines through the `Slots` vector (the
+/// false-sharing component of BENCH_PR7's `lasso_batch` 2-thread
+/// regression). Small enough that a 128-item fan-out (the
 /// [`MIN_INLINE_ITEMS`] floor) still splits into 16 stealable blocks.
+///
+/// The coarse fan-outs ([`par_map_heavy`] / [`par_map_timed`]) claim one
+/// index at a time instead: their items are few and each worth far more
+/// than a contended `fetch_add`, and a block of 8 would hand a whole
+/// fan-out of at most 8 items (a 6-device round) to whichever participant
+/// claimed first, serializing it.
 const CLAIM_BLOCK: usize = 8;
 
 /// A cache-line-isolated atomic claim counter. 128-byte alignment keeps the
@@ -482,7 +489,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    par_map_with_inner(count, threads, MIN_INLINE_ITEMS, make_state, f)
+    par_map_with_inner(count, threads, MIN_INLINE_ITEMS, CLAIM_BLOCK, make_state, f)
 }
 
 /// [`par_map`] for coarse fan-outs whose items are individually expensive —
@@ -490,21 +497,24 @@ where
 ///
 /// Ignores the [`MIN_INLINE_ITEMS`] inline threshold and always engages the
 /// pool when `threads > 1`: a round of four device fits is exactly the shape
-/// the threshold would wrongly serialize.
+/// the threshold would wrongly serialize. Indices are claimed one at a time
+/// (see [`CLAIM_BLOCK`]) so even a two-item fan-out splits across threads.
 pub fn par_map_heavy<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_with_inner(count, threads, 0, || (), move |(), i| f(i))
+    par_map_with_inner(count, threads, 0, 1, || (), move |(), i| f(i))
 }
 
 /// Shared body of [`par_map_with`] / [`par_map_heavy`]: fan-outs smaller
-/// than `inline_below` run inline on the caller without publishing a job.
+/// than `inline_below` run inline on the caller without publishing a job;
+/// participants claim `claim` consecutive indices per fetch.
 fn par_map_with_inner<S, T, I, F>(
     count: usize,
     threads: usize,
     inline_below: usize,
+    claim: usize,
     make_state: I,
     f: F,
 ) -> Vec<T>
@@ -540,11 +550,11 @@ where
             // ORDERING: Relaxed — the counter only hands out unique
             // index blocks; the slot writes it guards are published to the
             // caller by the job completion latch, not by this claim.
-            let start = next.0.fetch_add(CLAIM_BLOCK, Ordering::Relaxed);
+            let start = next.0.fetch_add(claim, Ordering::Relaxed);
             if start >= count {
                 break;
             }
-            for i in start..(start + CLAIM_BLOCK).min(count) {
+            for i in start..(start + claim).min(count) {
                 slots.put(i, f(&mut state, i));
                 executed += 1;
             }
@@ -745,6 +755,30 @@ mod tests {
             r.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
+    }
+
+    #[test]
+    fn heavy_fan_out_of_two_runs_on_two_threads() {
+        // Each item waits (bounded) until the other has started, so both
+        // see the other only if they really ran concurrently — a fan-out
+        // claimed as one block would run them back to back on one thread.
+        if default_threads() < 2 {
+            return;
+        }
+        use std::sync::atomic::AtomicBool;
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let met = par_map_heavy(2, 2, |i| {
+            started[i].store(true, Ordering::SeqCst);
+            let sw = Stopwatch::start();
+            while !started[1 - i].load(Ordering::SeqCst) {
+                if sw.elapsed() > Duration::from_secs(10) {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            true
+        });
+        assert_eq!(met, vec![true, true]);
     }
 
     #[test]

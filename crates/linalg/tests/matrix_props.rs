@@ -5,6 +5,7 @@
 // (clippy's allow-unwrap-in-tests does not reach integration-test helpers).
 #![allow(clippy::unwrap_used)]
 
+use fedsc_linalg::eigh::{eigh, eigvalsh};
 use fedsc_linalg::{vector, Matrix};
 use proptest::prelude::*;
 
@@ -90,8 +91,42 @@ fn blocked_kernels_cross_block_boundaries() {
     }
 }
 
+/// Symmetric `n x n` matrices (`n` from 0) whose rows/columns flagged in
+/// `zero` (about one in four) are entirely zero — the `tred2` zero-scale
+/// branch.
+fn symmetric_with_zero_columns() -> impl Strategy<Value = Matrix> {
+    (0usize..12).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(-10.0f64..10.0, n * n),
+            proptest::collection::vec(0u8..4, n),
+        )
+            .prop_map(move |(data, zero)| {
+                let mut a = Matrix::zeros(n, n);
+                for j in 0..n {
+                    for i in 0..=j {
+                        let v = if zero[i] == 0 || zero[j] == 0 {
+                            0.0
+                        } else {
+                            data[i * n + j]
+                        };
+                        a[(i, j)] = v;
+                        a[(j, i)] = v;
+                    }
+                }
+                a
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn eigvalsh_is_bitwise_eigh_eigenvalues(a in symmetric_with_zero_columns()) {
+        let full: Vec<u64> = eigh(&a).unwrap().eigenvalues.iter().map(|v| v.to_bits()).collect();
+        let vals: Vec<u64> = eigvalsh(&a).unwrap().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(full, vals);
+    }
 
     #[test]
     fn transpose_of_product((a, b) in (1usize..5, 1usize..5, 1usize..5).prop_flat_map(|(m, k, n)| {
