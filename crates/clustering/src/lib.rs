@@ -2,7 +2,7 @@
 //!
 //! Generic clustering algorithms and the paper's evaluation metrics.
 //!
-//! * [`kmeans`] — Lloyd's k-means with k-means++ / farthest-point seeding
+//! * [`kmeans`](mod@kmeans) — Lloyd's k-means with k-means++ / farthest-point seeding
 //!   (spectral embedding step, k-FED local and server clustering).
 //! * [`spectral`] — normalized spectral clustering (Ng–Jordan–Weiss).
 //! * [`hungarian`] — exact linear assignment for label alignment.

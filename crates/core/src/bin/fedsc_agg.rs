@@ -23,138 +23,45 @@
 //! own lane (`100 + --node`) — in-band on its uplink. Offsets compose
 //! transitively, so the root receives root-clock timestamps directly.
 
-use bytes::Bytes;
-use fedsc::central::central_cluster_auto;
-use fedsc::demo::{demo_fixture, demo_hier_fixture};
-use fedsc::{agg_seed, collect_uplinks_fleet, pool_uplinks, RoundPolicy};
-use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
-use fedsc_linalg::Matrix;
+mod common;
+
+use common::{Common, Flags};
+use fedsc::{
+    collect_uplinks, pool_uplinks, recv_labels, send_labels, wrap_uplink, Aggregator, WireTelemetry,
+};
 use fedsc_obs::{FleetCollector, TraceContext};
 use fedsc_transport::{
     with_retry, DeviceTransport, ServerTransport, TcpDevice, TcpOptions, TcpServer,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::time::Duration;
-
-struct Args {
-    addr: SocketAddr,
-    bind: SocketAddr,
-    node: usize,
-    tier: usize,
-    parent: u64,
-    children: usize,
-    devices: usize,
-    clusters: usize,
-    seed: u64,
-    quorum: Option<usize>,
-    deadline_ms: u64,
-    hier: bool,
-    telemetry: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-}
 
 const USAGE: &str = "usage: fedsc-agg --addr HOST:PORT --node N --children Z \
 [--bind 127.0.0.1:0] [--tier 0] [--parent P] [--devices 12] [--clusters 3] \
 [--seed 1] [--quorum N] [--deadline-ms 300000] [--hier] [--telemetry] \
 [--trace-out trace.json] [--metrics-out metrics.json]";
 
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{name} requires a value\n{USAGE}")),
-            };
-        }
-    }
-    Ok(None)
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v}\n{USAGE}")),
-        None => Ok(default),
-    }
-}
-
-fn required<T: std::str::FromStr>(args: &[String], name: &str) -> Result<T, String> {
-    flag_value(args, name)?
-        .ok_or(format!("{name} is required\n{USAGE}"))?
-        .parse()
-        .map_err(|_| format!("invalid value for {name}\n{USAGE}"))
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    Ok(Args {
-        addr: required(args, "--addr")?,
-        bind: parsed(args, "--bind", SocketAddr::from(([127, 0, 0, 1], 0)))?,
-        node: required(args, "--node")?,
-        tier: parsed(args, "--tier", 0)?,
-        parent: parsed(args, "--parent", 0)?,
-        children: required(args, "--children")?,
-        devices: parsed(args, "--devices", 12)?,
-        clusters: parsed(args, "--clusters", 3)?,
-        seed: parsed(args, "--seed", 1)?,
-        quorum: flag_value(args, "--quorum")?
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value for --quorum: {v}\n{USAGE}"))
-            })
-            .transpose()?,
-        deadline_ms: parsed(args, "--deadline-ms", 300_000)?,
-        hier: args.iter().any(|a| a == "--hier"),
-        telemetry: args.iter().any(|a| a == "--telemetry"),
-        trace_out: flag_value(args, "--trace-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
-    })
-}
-
-/// Exports the recorded spans / metrics snapshot to the requested paths.
-fn write_observability(args: &Args) -> Result<(), String> {
-    if let Some(path) = &args.trace_out {
-        let events = fedsc_obs::trace::uninstall();
-        let trace = fedsc_obs::export::chrome_trace_json(&events);
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.metrics_out {
-        let metrics = fedsc_obs::export::metrics_json(&fedsc_obs::metrics::snapshot());
-        std::fs::write(path, metrics).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
-}
-
-fn run(args: &Args) -> Result<(), String> {
-    if args.children == 0 {
+fn run(flags: &Flags) -> Result<(), String> {
+    let common = Common::parse(flags)?;
+    let addr: SocketAddr = flags.required("--addr")?;
+    let bind: SocketAddr = flags.parsed("--bind", SocketAddr::from(([127, 0, 0, 1], 0)))?;
+    let node: usize = flags.required("--node")?;
+    let tier: usize = flags.parsed("--tier", 0)?;
+    let parent: u64 = flags.parsed("--parent", 0)?;
+    let children: usize = flags.required("--children")?;
+    let policy = flags.round_policy()?;
+    if children == 0 {
         return Err("--children must be positive".into());
     }
-    if args.telemetry || args.trace_out.is_some() {
-        fedsc_obs::trace::install_ring(1 << 16);
-    }
+    common.start_tracing();
     // Only the config matters here; regenerating the shared fixture keeps
     // every process on the same parameters without shared state.
-    let fixture = if args.hier {
-        demo_hier_fixture
-    } else {
-        demo_fixture
-    };
-    let (_fed, cfg) = fixture(args.seed, args.devices, args.clusters);
-    let policy = RoundPolicy {
-        quorum: args.quorum,
-        deadline: Duration::from_millis(args.deadline_ms),
-        ..RoundPolicy::default()
-    };
-    let pid = 100 + args.node as u64;
+    let (_fed, cfg) = common.fixture();
+    let pid = 100 + node as u64;
 
-    let mut server = TcpServer::bind(args.bind, TcpOptions::default())
-        .map_err(|e| format!("bind failed: {e}"))?;
+    let mut server =
+        TcpServer::bind(bind, TcpOptions::default()).map_err(|e| format!("bind failed: {e}"))?;
     println!("listening {}", server.local_addr());
     std::io::stdout()
         .flush()
@@ -162,122 +69,70 @@ fn run(args: &Args) -> Result<(), String> {
 
     // ---- Collect, pool, merge — one fedsc-hier aggregator node. ----
     let agg_span = fedsc_obs::span("hier", "hier.agg_uplink")
-        .field("tier", args.tier)
-        .field("node", args.node)
-        .field("children", args.children);
+        .field("tier", tier)
+        .field("node", node)
+        .field("children", children);
     let agg_span_id = agg_span.id();
     let mut fleet = FleetCollector::new();
-    let payloads = collect_uplinks_fleet(
-        &mut server,
-        args.children,
-        policy.deadline,
-        Some(&mut fleet),
-    )
-    .map_err(|e| format!("{e}"))?;
+    let payloads = collect_uplinks(&mut server, children, policy.deadline, Some(&mut fleet))
+        .map_err(|e| format!("{e}"))?;
     let received = payloads.iter().filter(|m| m.is_some()).count();
     drop(agg_span.field("received", received));
-    if received < policy.required(args.children) {
+    if received < policy.required(children) {
         return Err("quorum not met before the tier deadline".into());
     }
     let (included, counts, pooled) = pool_uplinks(payloads).map_err(|e| format!("{e}"))?;
     if pooled.cols() == 0 {
         return Err("no samples to merge".into());
     }
-    let mut rng = StdRng::seed_from_u64(agg_seed(args.seed, args.tier, args.node));
-    let (central, l_merge) = central_cluster_auto(
-        &pooled,
-        cfg.num_clusters.min(pooled.cols()),
-        included.len(),
-        cfg.central,
-        cfg.candidate_threshold,
-        &mut rng,
-    )
-    .map_err(|e| format!("{e}"))?;
-    let mut rep_slot = vec![usize::MAX; l_merge];
-    let mut rep_cols: Vec<&[f64]> = Vec::with_capacity(l_merge);
-    for (s, &m) in central.assignments.iter().enumerate() {
-        if rep_slot[m] == usize::MAX {
-            rep_slot[m] = rep_cols.len();
-            rep_cols.push(pooled.col(s));
-        }
-    }
-    let reps = rep_cols.len();
-    let rep_mat = Matrix::from_columns(&rep_cols).map_err(|e| format!("{e}"))?;
-    let inner = UplinkMessage {
-        dim: rep_mat.rows(),
-        samples: rep_mat,
-    }
-    .encode();
+    let (agg, reps) = Aggregator::merge(included, counts, &pooled, &cfg, tier, node)
+        .map_err(|e| format!("{e}"))?;
 
     // ---- Forward the representatives (plus the subtree's telemetry). ----
-    let mut up = TcpDevice::new(args.addr, args.node, TcpOptions::default());
-    let payload = if args.telemetry {
-        let offset = up.clock_sync().map_err(|e| format!("clock sync: {e}"))?;
-        fleet.add_local_events(&fedsc_obs::trace::drain(), pid);
-        fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
-        fleet.shift(offset);
-        let ctx = TraceContext {
-            run_id: args.seed,
+    let mut up = TcpDevice::new(addr, node, TcpOptions::default());
+    let telemetry = WireTelemetry {
+        ctx: common.telemetry.then_some(TraceContext {
+            run_id: common.seed,
             round: 0,
-            tier: (args.tier + 1) as u32,
-            node: args.node as u64,
-            parent: args.parent,
+            tier: (tier + 1) as u32,
+            node: node as u64,
+            parent,
             pid,
-            parent_span: agg_span_id,
-        };
-        Bytes::from(fleet.to_envelope(Some(ctx)).wrap(inner.as_slice()))
-    } else {
-        inner
+            parent_span: 0,
+        }),
+        ship: common.telemetry,
+        pid,
     };
+    let envelope_bytes = fleet.envelope_bytes;
+    let payload = wrap_uplink(reps, &mut up, &telemetry, agg_span_id, fleet)
+        .map_err(|e| format!("uplink to parent: {e}"))?;
     with_retry(policy.max_retries, policy.retry_backoff, || {
         up.send_uplink(&payload)
     })
     .map_err(|e| format!("uplink to parent: {e}"))?;
 
     // ---- Compose and relay the parent's labels to the children. ----
-    let reply = up
-        .recv_downlink(policy.downlink_wait())
-        .map_err(|e| format!("downlink from parent: {e}"))?;
-    let down = DownlinkMessage::decode(reply).ok_or("malformed downlink from parent")?;
-    if down.assignments.len() != reps {
-        return Err("downlink assignment count mismatch at the aggregator".into());
-    }
-    let mut offset = 0usize;
-    for (&c, &r) in included.iter().zip(counts.iter()) {
-        let assignments: Vec<u32> = central.assignments[offset..offset + r]
-            .iter()
-            .map(|&m| down.assignments[rep_slot[m]])
-            .collect();
-        offset += r;
-        let child_reply = DownlinkMessage { assignments }.encode();
-        with_retry(policy.max_retries, policy.retry_backoff, || {
-            server.send_downlink(c, &child_reply)
-        })
-        .map_err(|e| format!("downlink to child {c}: {e}"))?;
+    let parent_labels =
+        recv_labels(&mut up, &policy).map_err(|e| format!("downlink from parent: {e}"))?;
+    for (c, labels) in agg.relay(&parent_labels).map_err(|e| format!("{e}"))? {
+        send_labels(&mut server, c, labels, &policy)
+            .map_err(|e| format!("downlink to child {c}: {e}"))?;
     }
     let stats = server.stats();
     drop(server);
     println!(
-        "agg {} reps {} included {}",
-        args.node,
-        reps,
-        included.len()
+        "agg {node} reps {} included {}",
+        agg.reps(),
+        agg.included().len()
     );
     println!(
-        "uplink_bytes {} downlink_bytes {} envelope_bytes {}",
-        stats.bytes_received, stats.bytes_sent, fleet.envelope_bytes
+        "uplink_bytes {} downlink_bytes {} envelope_bytes {envelope_bytes}",
+        stats.bytes_received, stats.bytes_sent
     );
-    write_observability(args)?;
+    common.export_local()?;
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args).and_then(|a| run(&a)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("fedsc-agg: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    common::main("fedsc-agg", USAGE, run)
 }

@@ -31,78 +31,20 @@
 //! payload overhead the telemetry added (always 0 when children ship
 //! nothing).
 
-use fedsc::demo::{demo_fixture, demo_hier_fixture};
-use fedsc::{server_round_fleet, RoundPolicy};
+mod common;
+
+use common::{write, Common, Flags};
+use fedsc::server_round;
 use fedsc_obs::FleetCollector;
 use fedsc_transport::{ServerTransport, TcpOptions, TcpServer};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::time::Duration;
-
-struct Args {
-    addr: SocketAddr,
-    devices: usize,
-    clusters: usize,
-    seed: u64,
-    quorum: Option<usize>,
-    deadline_ms: u64,
-    hier: bool,
-    telemetry: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    fleet_trace_out: Option<String>,
-    fleet_metrics_out: Option<String>,
-}
 
 const USAGE: &str = "usage: fedsc-server [--addr 127.0.0.1:0] [--devices 12] \
 [--clusters 3] [--seed 1] [--quorum N] [--deadline-ms 300000] [--hier] [--telemetry] \
 [--trace-out trace.json] [--metrics-out metrics.json] \
 [--fleet-trace-out fleet.json] [--fleet-metrics-out fleet-metrics.json]";
-
-fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return match it.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(format!("{name} requires a value\n{USAGE}")),
-            };
-        }
-    }
-    Ok(None)
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for {name}: {v}\n{USAGE}")),
-        None => Ok(default),
-    }
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    Ok(Args {
-        addr: parsed(args, "--addr", SocketAddr::from(([127, 0, 0, 1], 0)))?,
-        devices: parsed(args, "--devices", 12)?,
-        clusters: parsed(args, "--clusters", 3)?,
-        seed: parsed(args, "--seed", 1)?,
-        quorum: flag_value(args, "--quorum")?
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value for --quorum: {v}\n{USAGE}"))
-            })
-            .transpose()?,
-        deadline_ms: parsed(args, "--deadline-ms", 300_000)?,
-        hier: args.iter().any(|a| a == "--hier"),
-        telemetry: args.iter().any(|a| a == "--telemetry"),
-        trace_out: flag_value(args, "--trace-out")?,
-        metrics_out: flag_value(args, "--metrics-out")?,
-        fleet_trace_out: flag_value(args, "--fleet-trace-out")?,
-        fleet_metrics_out: flag_value(args, "--fleet-metrics-out")?,
-    })
-}
 
 /// Human-readable lane name for the fleet trace's process metadata.
 fn lane_name(pid: u64) -> String {
@@ -114,65 +56,21 @@ fn lane_name(pid: u64) -> String {
     }
 }
 
-/// Exports local and fleet-merged observability to the requested paths.
-fn write_observability(args: &Args, mut fleet: FleetCollector) -> Result<(), String> {
-    let tracing = args.telemetry || args.trace_out.is_some();
-    let events = if tracing {
-        fedsc_obs::trace::uninstall()
-    } else {
-        Vec::new()
-    };
-    if let Some(path) = &args.trace_out {
-        let trace = fedsc_obs::export::chrome_trace_json(&events);
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.metrics_out {
-        let metrics = fedsc_obs::export::metrics_json(&fedsc_obs::metrics::snapshot());
-        std::fs::write(path, metrics).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if args.fleet_trace_out.is_none() && args.fleet_metrics_out.is_none() {
-        return Ok(());
-    }
-    // The root's own lane and registry join the absorbed subtree before
-    // the merged exports; timestamps are already in this clock.
-    fleet.add_local_events(&events, 1);
-    fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
-    if let Some(path) = &args.fleet_trace_out {
-        let names: Vec<(u64, String)> = fleet.pids().iter().map(|&p| (p, lane_name(p))).collect();
-        let trace = fedsc_obs::export::fleet_chrome_trace_json(&fleet.spans, &names);
-        std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &args.fleet_metrics_out {
-        let metrics = fedsc_obs::export::metrics_json(&fleet.metrics);
-        std::fs::write(path, metrics).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
-}
-
-fn run(args: &Args) -> Result<(), String> {
-    if args.devices == 0 {
+fn run(flags: &Flags) -> Result<(), String> {
+    let common = Common::parse(flags)?;
+    let addr: SocketAddr = flags.parsed("--addr", SocketAddr::from(([127, 0, 0, 1], 0)))?;
+    let policy = flags.round_policy()?;
+    let fleet_trace_out = flags.flag_value("--fleet-trace-out")?;
+    let fleet_metrics_out = flags.flag_value("--fleet-metrics-out")?;
+    if common.devices == 0 {
         return Err("--devices must be positive".into());
     }
-    if args.telemetry || args.trace_out.is_some() {
-        fedsc_obs::trace::install_ring(1 << 16);
-    }
+    common.start_tracing();
     // Only the config matters server-side; regenerating the full fixture
     // guarantees it cannot drift from what the device processes use.
-    // `--hier` selects the aggregation-friendly fixture a fleet of
-    // `fedsc-agg` mid-tiers shares (see `fedsc::demo`).
-    let fixture = if args.hier {
-        demo_hier_fixture
-    } else {
-        demo_fixture
-    };
-    let (_fed, cfg) = fixture(args.seed, args.devices, args.clusters);
-    let policy = RoundPolicy {
-        quorum: args.quorum,
-        deadline: Duration::from_millis(args.deadline_ms),
-        ..RoundPolicy::default()
-    };
-    let mut server = TcpServer::bind(args.addr, TcpOptions::default())
-        .map_err(|e| format!("bind failed: {e}"))?;
+    let (_fed, cfg) = common.fixture();
+    let mut server =
+        TcpServer::bind(addr, TcpOptions::default()).map_err(|e| format!("bind failed: {e}"))?;
     println!("listening {}", server.local_addr());
     // Stdout is block-buffered when piped; the parent is waiting on this
     // line to learn the port.
@@ -181,7 +79,7 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("stdout flush failed: {e}"))?;
 
     let mut fleet = FleetCollector::new();
-    let excluded = server_round_fleet(&mut server, args.devices, &cfg, &policy, Some(&mut fleet))
+    let excluded = server_round(&mut server, common.devices, &cfg, &policy, Some(&mut fleet))
         .map_err(|e| format!("{e}"))?;
     let stats = server.stats();
     drop(server); // closes links so excluded devices stop waiting
@@ -196,17 +94,28 @@ fn run(args: &Args) -> Result<(), String> {
         stats.bytes_received, stats.bytes_sent
     );
     println!("envelope_bytes {}", fleet.envelope_bytes);
-    write_observability(args, fleet)?;
+
+    let events = common.export_local()?;
+    if fleet_trace_out.is_none() && fleet_metrics_out.is_none() {
+        return Ok(());
+    }
+    // The root's own lane and registry join the absorbed subtree before
+    // the merged exports; timestamps are already in this clock.
+    fleet.add_local_events(&events, 1);
+    fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
+    if let Some(path) = &fleet_trace_out {
+        let names: Vec<(u64, String)> = fleet.pids().iter().map(|&p| (p, lane_name(p))).collect();
+        write(
+            path,
+            fedsc_obs::export::fleet_chrome_trace_json(&fleet.spans, &names),
+        )?;
+    }
+    if let Some(path) = &fleet_metrics_out {
+        write(path, fedsc_obs::export::metrics_json(&fleet.metrics))?;
+    }
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args).and_then(|a| run(&a)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("fedsc-server: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    common::main("fedsc-server", USAGE, run)
 }

@@ -15,8 +15,12 @@
 //! 2. **Central clustering** ([`central`]): the server pools the samples —
 //!    which satisfy the semi-random model by construction — and clusters
 //!    them with SSC or TSC into `L` global groups.
-//! 3. **Local update** ([`scheme`]): devices relabel their partitions by
-//!    their samples' global assignments.
+//! 3. **Local update** ([`role::device_finish`]): devices relabel their
+//!    partitions by their samples' global assignments.
+//!
+//! [`role`] writes each of these steps once, and every executor runs it:
+//! [`scheme::FedSc::run`] in one process, [`wire`] over a transport, the
+//! `fedsc-hier` aggregation tree and the TCP binaries.
 //!
 //! ## Quick start
 //!
@@ -47,14 +51,18 @@ pub mod central;
 pub mod config;
 pub mod demo;
 pub mod local;
+pub mod role;
 pub mod scheme;
 pub mod wire;
 
 pub use assign::ClusterAssigner;
 pub use config::{BasisDim, CentralBackend, ClusterCountPolicy, FedScConfig, LocalBackend};
+pub use role::{
+    agg_seed, device_finish, device_uplink, majority_relabel, root_assign, Aggregator,
+    DeviceUplink, SERVER_RNG_SALT,
+};
 pub use scheme::{FedSc, FedScOutput};
 pub use wire::{
-    agg_seed, collect_uplinks, collect_uplinks_fleet, device_local_output, device_round,
-    device_round_traced, majority_relabel, pool_uplinks, run_over_wire, run_round, server_round,
-    server_round_fleet, wire_err, RoundPolicy, WireRunOutput, WireTelemetry, SERVER_RNG_SALT,
+    collect_uplinks, device_round, pool_uplinks, recv_labels, run_over_wire, run_round,
+    send_labels, server_round, wire_err, wrap_uplink, RoundPolicy, WireRunOutput, WireTelemetry,
 };

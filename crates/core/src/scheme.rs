@@ -1,26 +1,23 @@
-//! Algorithm 1: the full three-phase Fed-SC scheme.
+//! Algorithm 1: the full three-phase Fed-SC scheme, in one process.
 //!
-//! * **Phase 1** — every device runs Algorithm 2
-//!   ([`crate::local::local_cluster_and_sample`]) in parallel and transmits
-//!   its samples through the channel (noise + quantization + cost
-//!   accounting).
-//! * **Phase 2** — the server pools `[Theta^(z)]_z`, clusters the samples
-//!   into `L` groups ([`crate::central::central_cluster`]), and delivers the
-//!   assignments.
-//! * **Phase 3** — every device relabels its partitions:
+//! * **Phase 1** — every device runs its uplink role
+//!   ([`crate::role::device_uplink`]: Algorithm 2, optional differential
+//!   privacy, the modelled channel) in parallel.
+//! * **Phase 2** — the server pools `[Theta^(z)]_z` and runs the root role
+//!   ([`crate::role::root_assign`]), clustering the samples into `L`
+//!   groups.
+//! * **Phase 3** — every device runs its finish role
+//!   ([`crate::role::device_finish`]):
 //!   `T-hat_l^(z) = { i : i in T_t^(z), tau_t^(z) = l }`.
 
-use crate::central::central_cluster;
 use crate::config::FedScConfig;
-use crate::local::{local_cluster_and_sample, LocalOutput};
-use fedsc_federated::channel::{account_downlink, transmit_uplink, CommStats};
+use crate::role::{device_finish, device_uplink, root_assign};
+use fedsc_federated::channel::{account_downlink, CommStats};
 use fedsc_federated::parallel::{par_map_timed, time_phase, PhaseTiming};
 use fedsc_federated::partition::FederatedDataset;
-use fedsc_federated::privacy::{privatize_samples, PrivacyLedger};
+use fedsc_federated::privacy::PrivacyLedger;
 use fedsc_graph::AffinityGraph;
 use fedsc_linalg::{Matrix, Result};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Everything a Fed-SC run produces.
@@ -114,117 +111,65 @@ impl FedSc {
         let z_count = fed.devices.len();
         let _run_span = fedsc_obs::span("fedsc", "run").field("devices", z_count);
 
-        // Phase 1: local clustering and sampling, in parallel. Each device
+        // Phase 1: every device's uplink role, in parallel. Each device
         // seeds its own RNG so results are independent of thread schedule.
         let phase1_span = fedsc_obs::span("fedsc", "phase1.local").field("devices", z_count);
-        type DeviceResult = (LocalOutput, Matrix, CommStats, PrivacyLedger);
-        let locals: Vec<(Result<DeviceResult>, Duration)> =
-            par_map_timed(z_count, cfg.threads, |z| {
-                let _device_span = fedsc_obs::span("fedsc", "phase1.device").field("device", z);
-                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(z as u64));
-                let out = local_cluster_and_sample(&fed.devices[z].data, cfg, &mut rng)?;
-                // Optional differential privacy before anything leaves the
-                // device, then the (noisy, quantized) channel.
-                let mut ledger = PrivacyLedger::default();
-                let release = match &cfg.dp {
-                    Some(dp) => privatize_samples(dp, &out.samples, &mut ledger, &mut rng),
-                    None => out.samples.clone(),
-                };
-                let mut stats = CommStats::default();
-                let received = transmit_uplink(&cfg.channel, &release, &mut stats, &mut rng);
-                Ok((out, received, stats, ledger))
-            });
+        let uplinks = par_map_timed(z_count, cfg.threads, |z| {
+            let _device_span = fedsc_obs::span("fedsc", "phase1.device").field("device", z);
+            device_uplink(&fed.devices[z].data, z, cfg)
+        });
         drop(phase1_span);
-        let local_timing = PhaseTiming::from_durations(locals.iter().map(|(_, d)| *d));
+        let local_timing = PhaseTiming::from_durations(uplinks.iter().map(|(_, d)| *d));
 
         let mut comm = CommStats::default();
         let mut privacy = PrivacyLedger::default();
-        let mut outputs: Vec<LocalOutput> = Vec::with_capacity(z_count);
-        let mut received: Vec<Matrix> = Vec::with_capacity(z_count);
-        for (res, _) in locals {
-            let (out, rx, stats, ledger) = res?;
-            comm.merge(&stats);
-            privacy.max_device_epsilon = privacy.max_device_epsilon.max(ledger.max_device_epsilon);
-            privacy.max_device_delta = privacy.max_device_delta.max(ledger.max_device_delta);
-            privacy.devices += ledger.devices;
-            outputs.push(out);
-            received.push(rx);
+        let mut outputs = Vec::with_capacity(z_count);
+        let mut received = Vec::with_capacity(z_count);
+        for (res, _) in uplinks {
+            let up = res?;
+            comm.merge(&up.comm);
+            privacy.merge(&up.privacy);
+            outputs.push(up.local);
+            received.push(up.samples);
         }
 
         // Pool samples with device bookkeeping.
-        let mut sample_device = Vec::new();
-        let mut sample_offset = vec![0usize; z_count];
-        let mut offset = 0usize;
-        for (z, rx) in received.iter().enumerate() {
-            sample_offset[z] = offset;
-            offset += rx.cols();
-            sample_device.extend(std::iter::repeat_n(z, rx.cols()));
-        }
+        let counts: Vec<usize> = received.iter().map(Matrix::cols).collect();
+        let sample_device: Vec<usize> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(z, &r)| std::iter::repeat_n(z, r))
+            .collect();
         let refs: Vec<&Matrix> = received.iter().collect();
         let samples = Matrix::hcat(&refs)?;
 
-        // Phase 2: central clustering.
-        let (central, server_time) = time_phase(|| {
-            let _span = fedsc_obs::span("fedsc", "phase2.central").field("samples", samples.cols());
-            let mut server_rng = StdRng::seed_from_u64(cfg.seed ^ 0x0ce2_74a1);
-            central_cluster(
-                &samples,
-                cfg.num_clusters,
-                z_count,
-                cfg.central,
-                cfg.candidate_threshold,
-                &mut server_rng,
-            )
-        });
-        let central = central?;
+        // Phase 2: the root role.
+        let (central, server_time) = time_phase(|| root_assign(&samples, &counts, cfg));
+        let (central, labels) = central?;
 
-        // Phase 3: local update. Each local cluster t on device z gets the
-        // global label of its (first) representative sample; clusters that
-        // produced no sample (empty after spectral k-means) keep label 0.
+        // Phase 3: every device's finish role. Each point also records the
+        // pooled sample representing its local cluster (the first one;
+        // clusters that produced no sample have none).
         let phase3_span = fedsc_obs::span("fedsc", "phase3.update").field("devices", z_count);
         let mut per_device: Vec<Vec<usize>> = Vec::with_capacity(z_count);
         let mut point_sample = vec![usize::MAX; fed.total_points];
         let mut point_cluster = vec![(0usize, 0usize); fed.total_points];
-        for (z, out) in outputs.iter().enumerate() {
-            let base = sample_offset[z];
-            // First sample representing each local cluster.
+        let mut base = 0usize;
+        for (z, (out, labels)) in outputs.iter().zip(&labels).enumerate() {
             let mut first = vec![usize::MAX; out.num_local_clusters.max(1)];
             for (s, &t) in out.sample_cluster.iter().enumerate() {
                 if first[t] == usize::MAX {
                     first[t] = base + s;
                 }
             }
+            base += counts[z];
             for (i, &t) in out.local_labels.iter().enumerate() {
                 let g = fed.global_index[z][i];
                 point_sample[g] = first[t];
                 point_cluster[g] = (z, t);
             }
-            let mut cluster_to_global = vec![0usize; out.num_local_clusters.max(1)];
-            // Majority vote over this cluster's samples (identical to "the"
-            // sample when samples_per_cluster == 1).
-            let mut votes =
-                vec![vec![0usize; cfg.num_clusters.max(1)]; out.num_local_clusters.max(1)];
-            for (s, &t) in out.sample_cluster.iter().enumerate() {
-                let tau = central.assignments[base + s];
-                votes[t][tau] += 1;
-            }
-            for (t, vote) in votes.iter().enumerate() {
-                if let Some((best, _)) = vote
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(_, &c)| c)
-                    .filter(|&(_, &c)| c > 0)
-                {
-                    cluster_to_global[t] = best;
-                }
-            }
             account_downlink(&mut comm, out.sample_cluster.len(), cfg.num_clusters);
-            per_device.push(
-                out.local_labels
-                    .iter()
-                    .map(|&t| cluster_to_global[t])
-                    .collect(),
-            );
+            per_device.push(device_finish(out, labels, cfg.num_clusters)?);
         }
         let predictions = fed.scatter_predictions(&per_device);
         drop(phase3_span);

@@ -4,14 +4,17 @@
 //! [`Transport`] — the deployment shape of Algorithm 1, as opposed to the
 //! in-process orchestration of [`crate::scheme::FedSc`].
 //!
-//! Every device runs Algorithm 2 on its shard, serializes its samples into
-//! an [`UplinkMessage`] payload, and sends the bytes to the server; the
-//! server decodes and pools the payloads, runs the central clustering, and
-//! answers each included device with an encoded [`DownlinkMessage`] of
-//! assignments; devices decode and perform the local update. With a
-//! lossless link the result is **bit-identical** to `FedSc::run` under the
-//! same seeds (tested), so the in-process scheme and the wire protocol
-//! cannot drift apart.
+//! This module adds only the transport around the roles of
+//! [`crate::role`]: [`device_round`] runs [`device_uplink`], sends the
+//! released samples as an [`UplinkMessage`] payload (behind the optional
+//! telemetry envelope of [`wrap_uplink`]), awaits its labels and runs
+//! [`device_finish`]; [`server_round`] collects and pools the payloads
+//! ([`collect_uplinks`], [`pool_uplinks`]), runs [`root_assign`], and
+//! answers each included device with an encoded [`DownlinkMessage`]. The
+//! hierarchical tree (`fedsc-hier`) and the TCP binaries use the same
+//! helpers, so with a lossless link every shape is **bit-identical** to
+//! `FedSc::run` under the same seeds, differential privacy and channel
+//! noise included (tested).
 //!
 //! The round is one-shot, which makes straggler handling simple: the
 //! server collects uplinks until all devices report or the
@@ -24,9 +27,8 @@
 //! [`UplinkMessage`]: fedsc_federated::channel::UplinkMessage
 //! [`DownlinkMessage`]: fedsc_federated::channel::DownlinkMessage
 
-use crate::central::central_cluster;
 use crate::config::FedScConfig;
-use crate::local::{local_cluster_and_sample, LocalOutput};
+use crate::role::{device_finish, device_uplink, root_assign};
 use bytes::Bytes;
 use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
@@ -36,8 +38,6 @@ use fedsc_transport::{
     with_retry, Deadline, DeviceTransport, InMemoryTransport, LinkStats, ServerTransport,
     Transport, TransportError,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Device rounds completed (uplink sent, downlink applied).
@@ -53,26 +53,6 @@ static WIRE_DEVICE_ROUND_MS: LazyHistogram = LazyHistogram::new(
         1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
     ],
 );
-
-/// Salt XORed into [`FedScConfig::seed`] to derive the server's
-/// central-clustering rng stream. Exported so the hierarchical aggregation
-/// tree (`fedsc-hier`) can seed its root *exactly* like [`server_round`]
-/// does — the degenerate single-tier tree is bit-identical to
-/// [`run_over_wire`] only because both sides share this constant.
-pub const SERVER_RNG_SALT: u64 = 0x0ce2_74a1;
-
-/// Rng seed for the aggregator at tier `tier`, node `node` of an
-/// aggregation tree — the root's salt stream mixed with a per-node offset
-/// so sibling aggregators draw independent spectral-clustering
-/// initializations. The root itself uses the unmixed
-/// `seed ^ SERVER_RNG_SALT`, which is what keeps the degenerate
-/// single-tier tree bit-identical to the flat round. Lives here (not in
-/// `fedsc-hier`) so the real-process `fedsc-agg` binary and the
-/// in-process tree driver seed identically.
-pub fn agg_seed(seed: u64, tier: usize, node: usize) -> u64 {
-    (seed ^ SERVER_RNG_SALT)
-        ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul((((tier as u64) + 1) << 32) | ((node as u64) + 1))
-}
 
 /// Telemetry posture of one sending round: what (if anything) rides
 /// in-band on the uplink. The default attaches nothing, keeping the
@@ -176,66 +156,14 @@ pub fn wire_err(e: TransportError) -> LinalgError {
     })
 }
 
-/// Runs Algorithm 2 for device `z` under the round's deterministic seeding
-/// (`cfg.seed + z`). This is the *computation* half of [`device_round`],
-/// shared with the hierarchical tree driver so both execution shapes derive
-/// the same local clusters and uplink samples bit for bit.
-pub fn device_local_output(data: &Matrix, z: usize, cfg: &FedScConfig) -> Result<LocalOutput> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(z as u64));
-    local_cluster_and_sample(data, cfg, &mut rng)
-}
-
-/// Phase 3 vote: maps each of `num_local_clusters` local clusters to the
-/// majority global assignment of its uploaded samples (ties break toward
-/// the lower global id; clusters whose samples were all dropped keep the
-/// fallback label 0). Mirrors `FedSc::run` exactly.
-pub fn majority_relabel(
-    sample_cluster: &[usize],
-    num_local_clusters: usize,
-    assignments: &[u32],
-    num_global: usize,
-) -> Vec<usize> {
-    let mut cluster_to_global = vec![0usize; num_local_clusters.max(1)];
-    let mut votes = vec![vec![0usize; num_global.max(1)]; num_local_clusters.max(1)];
-    for (s, &t) in sample_cluster.iter().enumerate() {
-        votes[t][assignments[s] as usize] += 1;
-    }
-    for (t, vote) in votes.iter().enumerate() {
-        if let Some((best, _)) = vote
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .filter(|&(_, &c)| c > 0)
-        {
-            cluster_to_global[t] = best;
-        }
-    }
-    cluster_to_global
-}
-
-/// Runs one device's side of the round over `link`: Algorithm 2 on `data`,
-/// uplink, await assignments, local relabel. Returns the device-local
-/// predictions (one global cluster id per local point).
+/// Runs one device's side of the round over `link`: [`device_uplink`] on
+/// `data`, the uplink (prefixed with the envelope `telemetry` asks for),
+/// the wait for its labels, and [`device_finish`]. Returns the
+/// device-local predictions (one global cluster id per local point).
 ///
 /// Deterministic given `(cfg.seed, z)` — the transport carries opaque
 /// bytes and cannot perturb the clustering.
 pub fn device_round<D: DeviceTransport>(
-    data: &Matrix,
-    z: usize,
-    cfg: &FedScConfig,
-    link: &mut D,
-    policy: &RoundPolicy,
-) -> Result<Vec<usize>> {
-    device_round_traced(data, z, cfg, link, policy, &WireTelemetry::default())
-}
-
-/// [`device_round`] with an explicit telemetry posture: the uplink
-/// payload is prefixed with an in-band [`Envelope`] carrying the round's
-/// [`TraceContext`] and — in real-process mode — the device's completed
-/// spans (shifted into the server's clock) and metrics snapshot. The
-/// default posture attaches nothing and is byte-identical to
-/// [`device_round`].
-pub fn device_round_traced<D: DeviceTransport>(
     data: &Matrix,
     z: usize,
     cfg: &FedScConfig,
@@ -250,66 +178,56 @@ pub fn device_round_traced<D: DeviceTransport>(
     // payload ships, so it cannot serve as the cross-process parent.
     let local_span = fedsc_obs::span("wire", "wire.local_output").field("device", z);
     let local_span_id = local_span.id();
-    let out = device_local_output(data, z, cfg)?;
+    let up = device_uplink(data, z, cfg)?;
     drop(local_span);
-    let msg = UplinkMessage {
-        dim: out.samples.rows(),
-        samples: out.samples.clone(),
-    };
-    let payload = wrap_uplink(msg.encode(), link, telemetry, local_span_id)?;
+    let payload = wrap_uplink(
+        up.samples,
+        link,
+        telemetry,
+        local_span_id,
+        FleetCollector::new(),
+    )?;
     with_retry(policy.max_retries, policy.retry_backoff, || {
         link.send_uplink(&payload)
     })
     .map_err(wire_err)?;
-    let reply = link
-        .recv_downlink(policy.downlink_wait())
-        .map_err(wire_err)?;
-    let down =
-        DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
-    if down.assignments.len() != out.sample_cluster.len() {
-        return Err(LinalgError::InvalidArgument(
-            "downlink assignment count mismatch",
-        ));
-    }
-    // Phase 3: relabel local clusters by their samples' majority global
-    // assignment, mirroring FedSc::run.
-    let cluster_to_global = majority_relabel(
-        &out.sample_cluster,
-        out.num_local_clusters,
-        &down.assignments,
-        cfg.num_clusters,
-    );
+    let labels = recv_labels(link, policy)?;
+    let predictions = device_finish(&up.local, &labels, cfg.num_clusters)?;
     WIRE_DEVICE_ROUNDS.inc();
     WIRE_DEVICE_ROUND_MS.observe(sw.elapsed_ns() / 1_000_000);
-    Ok(out
-        .local_labels
-        .iter()
-        .map(|&t| cluster_to_global[t])
-        .collect())
+    Ok(predictions)
 }
 
-/// Prefixes an encoded uplink with the round's telemetry envelope. With
-/// the default (empty) posture the payload is returned untouched; with
-/// `ship` set, the link's clock offset is estimated first and every
-/// shipped span is shifted into the receiver's clock, so offsets compose
-/// transitively up an aggregation tree.
-fn wrap_uplink<D: DeviceTransport>(
-    inner: Bytes,
+/// Encodes `samples` as an uplink payload behind the telemetry envelope
+/// `telemetry` asks for. `parent_span` becomes the context's parent span.
+/// With the default (empty) posture the payload is the bare encoding;
+/// with `ship` set, the link's clock offset is estimated first, and the
+/// spans and metrics of `subtree` (what an aggregator absorbed from its
+/// children; empty on a device) plus this process's own are shifted into
+/// the receiver's clock and shipped, so offsets compose transitively up
+/// an aggregation tree.
+pub fn wrap_uplink<D: DeviceTransport>(
+    samples: Matrix,
     link: &mut D,
     telemetry: &WireTelemetry,
     parent_span: u64,
+    mut subtree: FleetCollector,
 ) -> Result<Bytes> {
+    let inner = UplinkMessage {
+        dim: samples.rows(),
+        samples,
+    }
+    .encode();
     let ctx = telemetry.ctx.map(|mut c| {
         c.parent_span = parent_span;
         c
     });
     let env = if telemetry.ship {
         let offset = link.clock_sync().map_err(wire_err)?;
-        let mut fleet = FleetCollector::new();
-        fleet.add_local_events(&fedsc_obs::trace::drain(), telemetry.pid);
-        fleet.merge_metrics(&fedsc_obs::metrics::snapshot());
-        fleet.shift(offset);
-        fleet.to_envelope(ctx)
+        subtree.add_local_events(&fedsc_obs::trace::drain(), telemetry.pid);
+        subtree.merge_metrics(&fedsc_obs::metrics::snapshot());
+        subtree.shift(offset);
+        subtree.to_envelope(ctx)
     } else {
         Envelope {
             ctx,
@@ -323,10 +241,40 @@ fn wrap_uplink<D: DeviceTransport>(
     }
 }
 
+/// Awaits this endpoint's downlink for up to [`RoundPolicy::downlink_wait`]
+/// and decodes its labels.
+pub fn recv_labels<D: DeviceTransport>(link: &mut D, policy: &RoundPolicy) -> Result<Vec<u32>> {
+    let reply = link
+        .recv_downlink(policy.downlink_wait())
+        .map_err(wire_err)?;
+    let down =
+        DownlinkMessage::decode(reply).ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
+    Ok(down.assignments)
+}
+
+/// Sends `labels` as child `child`'s downlink under the policy's retry
+/// budget.
+pub fn send_labels<S: ServerTransport>(
+    link: &mut S,
+    child: usize,
+    labels: Vec<u32>,
+    policy: &RoundPolicy,
+) -> Result<()> {
+    let reply = DownlinkMessage {
+        assignments: labels,
+    }
+    .encode();
+    with_retry(policy.max_retries, policy.retry_backoff, || {
+        link.send_downlink(child, &reply)
+    })
+    .map_err(wire_err)
+}
+
 /// Runs the server's side of the round over `link`: collect uplinks until
 /// every device reports or the policy deadline expires, pool in ascending
-/// device order, cluster centrally, answer each included device. Returns
-/// the devices excluded as stragglers (empty on a clean run).
+/// device order, [`root_assign`], answer each included device. In-band
+/// telemetry lands in `fleet` when one is given (see [`collect_uplinks`]).
+/// Returns the devices excluded as stragglers (empty on a clean run).
 ///
 /// Fails if fewer than [`RoundPolicy::quorum`] devices report in time.
 pub fn server_round<S: ServerTransport>(
@@ -334,65 +282,29 @@ pub fn server_round<S: ServerTransport>(
     z_count: usize,
     cfg: &FedScConfig,
     policy: &RoundPolicy,
-) -> Result<Vec<usize>> {
-    server_round_fleet(link, z_count, cfg, policy, None)
-}
-
-/// [`server_round`] absorbing in-band telemetry into `fleet`: every
-/// uplink envelope's context, spans, and metrics land in the collector
-/// (and its `envelope_bytes` tallies the exact payload overhead), ready
-/// to export at the root or forward from an aggregator. Passing `None`
-/// strips and discards envelopes, which is [`server_round`] exactly.
-pub fn server_round_fleet<S: ServerTransport>(
-    link: &mut S,
-    z_count: usize,
-    cfg: &FedScConfig,
-    policy: &RoundPolicy,
     fleet: Option<&mut FleetCollector>,
 ) -> Result<Vec<usize>> {
     let _span = fedsc_obs::span("wire", "wire.server_round").field("devices", z_count);
-    let payloads = collect_uplinks_fleet(link, z_count, policy.deadline, fleet)?;
-    let received = payloads.iter().filter(|p| p.is_some()).count();
-
+    let payloads = collect_uplinks(link, z_count, policy.deadline, fleet)?;
     let excluded: Vec<usize> = payloads
         .iter()
         .enumerate()
         .filter_map(|(z, p)| p.is_none().then_some(z))
         .collect();
-    if received < policy.required(z_count) {
+    if z_count - excluded.len() < policy.required(z_count) {
         return Err(LinalgError::InvalidArgument(
             "quorum not met before the round deadline",
         ));
     }
 
     let (included, counts, pooled) = pool_uplinks(payloads)?;
-    let central_span = fedsc_obs::span("fedsc", "phase2.central").field("samples", pooled.cols());
-    let mut server_rng = StdRng::seed_from_u64(cfg.seed ^ SERVER_RNG_SALT);
-    let central = central_cluster(
-        &pooled,
-        cfg.num_clusters,
-        included.len(),
-        cfg.central,
-        cfg.candidate_threshold,
-        &mut server_rng,
-    )?;
-    drop(central_span);
+    let (_, labels) = root_assign(&pooled, &counts, cfg)?;
 
     let _broadcast_span =
         fedsc_obs::span("fedsc", "phase3.broadcast").field("devices", included.len());
-    let mut offset = 0usize;
-    for (&z, &r) in included.iter().zip(counts.iter()) {
+    for (&z, labels) in included.iter().zip(labels) {
         let _downlink_span = fedsc_obs::span("wire", "wire.downlink").field("device", z);
-        let assignments: Vec<u32> = central.assignments[offset..offset + r]
-            .iter()
-            .map(|&a| a as u32)
-            .collect();
-        offset += r;
-        let reply = DownlinkMessage { assignments }.encode();
-        with_retry(policy.max_retries, policy.retry_backoff, || {
-            link.send_downlink(z, &reply)
-        })
-        .map_err(wire_err)?;
+        send_labels(link, z, labels, policy)?;
     }
     WIRE_SERVER_ROUNDS.inc();
     WIRE_STRAGGLERS.add(excluded.len() as u64);
@@ -404,24 +316,15 @@ pub fn server_round_fleet<S: ServerTransport>(
 /// vector holds child `z`'s message, `None` if it never arrived — quorum
 /// policy is the *caller's* decision, so the hierarchical tree can treat a
 /// failed aggregator as a straggler where the flat round treats it as
-/// fatal. Stray child ids and duplicate deliveries are ignored, exactly as
-/// in [`server_round`].
+/// fatal. Stray child ids and duplicate deliveries are ignored.
+///
+/// Each payload's optional [`Envelope`] prefix is stripped before the
+/// uplink decoder sees it, the per-uplink span records the sender's span
+/// as its remote parent, and — when `fleet` is given — the envelope's
+/// spans, metrics, and context are absorbed. A payload carrying the
+/// envelope magic but failing to decode is an error (never fed to the
+/// inner decoder); a payload without the magic passes through untouched.
 pub fn collect_uplinks<S: ServerTransport>(
-    link: &mut S,
-    expected: usize,
-    deadline: Duration,
-) -> Result<Vec<Option<UplinkMessage>>> {
-    collect_uplinks_fleet(link, expected, deadline, None)
-}
-
-/// [`collect_uplinks`] absorbing in-band telemetry: each payload's
-/// optional [`Envelope`] prefix is stripped before the uplink decoder
-/// sees it, the per-uplink span records the sender's span as its remote
-/// parent, and — when a collector is given — the envelope's spans,
-/// metrics, and context are absorbed. A payload carrying the envelope
-/// magic but failing to decode is an error (never fed to the inner
-/// decoder); a payload without the magic passes through untouched.
-pub fn collect_uplinks_fleet<S: ServerTransport>(
     link: &mut S,
     expected: usize,
     deadline: Duration,
@@ -499,11 +402,11 @@ pub fn pool_uplinks(
 /// Runs the Fed-SC round over `transport` with per-device threads and
 /// encoded messages, under the given straggler `policy`.
 ///
-/// Noise/quantization modelling lives in [`crate::scheme::FedSc`]; here the
-/// link itself may be unreliable (see `fedsc_transport::fault`) and the
-/// policy decides how much unreliability the round absorbs. Errors from
-/// any included device or the server are propagated; excluded stragglers
-/// are reported, not fatal.
+/// Each device applies `cfg.dp` and the modelled `cfg.channel` before it
+/// sends (see [`device_uplink`]); the link itself may also be unreliable
+/// (see `fedsc_transport::fault`) and the policy decides how much
+/// unreliability the round absorbs. Errors from any included device or
+/// the server are propagated; excluded stragglers are reported, not fatal.
 pub fn run_round<T: Transport>(
     fed: &FederatedDataset,
     cfg: &FedScConfig,
@@ -542,13 +445,13 @@ pub fn run_round<T: Transport>(
                 };
                 let _ = result_tx.send((
                     z,
-                    device_round_traced(&device.data, z, cfg, &mut link, policy, &telemetry),
+                    device_round(&device.data, z, cfg, &mut link, policy, &telemetry),
                 ));
             });
         }
         drop(result_tx);
 
-        let served = server_round_fleet(&mut server_link, z_count, cfg, policy, Some(&mut fleet))
+        let served = server_round(&mut server_link, z_count, cfg, policy, Some(&mut fleet))
             .map(|excluded| (excluded, server_link.stats()));
         // Dropping the server endpoint closes every link: excluded devices
         // still blocked in recv_downlink observe closure instead of
@@ -606,9 +509,13 @@ mod tests {
     use super::*;
     use crate::config::{CentralBackend, FedScConfig};
     use crate::scheme::FedSc;
+    use fedsc_federated::channel::ChannelConfig;
     use fedsc_federated::partition::{partition_dataset, Partition};
+    use fedsc_federated::privacy::DpConfig;
     use fedsc_subspace::SubspaceModel;
     use fedsc_transport::{FaultConfig, FaultyInMemoryTransport, TcpTransport};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn fixture(seed: u64) -> (FederatedDataset, FedScConfig) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -619,17 +526,67 @@ mod tests {
         (fed, cfg)
     }
 
+    /// The seed-1 fixture's config three ways: as is, with differential
+    /// privacy on the uplink, and with a quantized, noisy channel.
+    fn privacy_and_channel_configs(cfg: &FedScConfig) -> [(&'static str, FedScConfig); 3] {
+        let mut dp = cfg.clone();
+        dp.dp = Some(DpConfig::new(2.0, 1e-5));
+        let mut channel = cfg.clone();
+        channel.channel = ChannelConfig {
+            bits_per_scalar: 16,
+            noise_delta: 0.01,
+        };
+        [("default", cfg.clone()), ("dp", dp), ("channel", channel)]
+    }
+
     #[test]
     fn wire_run_matches_in_process_run_exactly() {
-        let (fed, cfg) = fixture(1);
-        let in_process = FedSc::new(cfg.clone())
-            .run(&fed)
-            .expect("in-process FedSc run on the seed-1 fixture");
-        let wire = run_over_wire(&fed, &cfg).expect("lossless wire round on the seed-1 fixture");
-        // Same seeds, lossless channel: the two execution shapes must agree
-        // bit for bit.
-        assert_eq!(wire.predictions, in_process.predictions);
-        assert!(wire.excluded.is_empty());
+        let (fed, base) = fixture(1);
+        for (name, cfg) in privacy_and_channel_configs(&base) {
+            let in_process = FedSc::new(cfg.clone())
+                .run(&fed)
+                .unwrap_or_else(|e| panic!("in-process {name} run on the seed-1 fixture: {e:?}"));
+            let wire = run_over_wire(&fed, &cfg)
+                .unwrap_or_else(|e| panic!("wire {name} round on the seed-1 fixture: {e:?}"));
+            // Same seeds: the two execution shapes must agree bit for bit,
+            // privacy noise and channel noise included.
+            assert_eq!(wire.predictions, in_process.predictions, "{name} config");
+            assert!(wire.excluded.is_empty(), "{name} config");
+        }
+    }
+
+    #[test]
+    fn out_of_range_downlink_label_fails_the_device() {
+        let (fed, cfg) = fixture(11);
+        let (mut server, mut devices) = InMemoryTransport
+            .open(1)
+            .expect("open an in-memory link for the hostile downlink");
+        let mut link = devices.remove(0);
+        let data = &fed.devices[0].data;
+        let policy = RoundPolicy::default();
+        let device = crossbeam::thread::scope(|scope| {
+            let handle = scope.spawn(|_| {
+                device_round(data, 0, &cfg, &mut link, &policy, &WireTelemetry::default())
+            });
+            // A CRC-valid, correctly sized downlink whose every label is L.
+            let uplinks = collect_uplinks(&mut server, 1, Duration::from_secs(60), None)
+                .expect("collect the device's uplink");
+            let r = uplinks[0]
+                .as_ref()
+                .expect("the device uploaded")
+                .samples
+                .cols();
+            let hostile = vec![cfg.num_clusters as u32; r];
+            send_labels(&mut server, 0, hostile, &policy).expect("send the hostile downlink");
+            handle.join().expect("the device thread must not panic")
+        })
+        .expect("hostile-downlink scope should not leak a panic");
+        match device {
+            Err(LinalgError::InvalidArgument(msg)) => {
+                assert_eq!(msg, "downlink label out of range");
+            }
+            other => panic!("expected an out-of-range rejection, got {other:?}"),
+        }
     }
 
     #[test]
@@ -706,58 +663,26 @@ mod tests {
 
     #[test]
     fn quorum_round_excludes_straggler_and_reports_it() {
+        // Device 3 is a total straggler: it never speaks, and the quorum
+        // Z-1 lets the round proceed without it.
         let (fed, cfg) = fixture(5);
-        let z_count = fed.devices.len();
-        // Device 3 is a total straggler: a fault plan that drops every one
-        // of its uplink attempts. Per-link seeding means we can't target
-        // one device directly, so emulate by running the round generically
-        // with a transport whose open() drops one endpoint — simplest here:
-        // run server/device halves manually.
-        let transport = InMemoryTransport;
-        let (mut server_link, mut device_links) = transport
-            .open(z_count)
-            .expect("open in-memory links for the quorum round");
         let policy = RoundPolicy {
-            quorum: Some(z_count - 1),
+            quorum: Some(fed.devices.len() - 1),
             deadline: Duration::from_millis(800),
             ..RoundPolicy::default()
         };
-        let dead = 3usize;
-        let mut results: Vec<Option<Vec<usize>>> = (0..z_count).map(|_| None).collect();
-        let mut excluded = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (z, mut link) in device_links.drain(..).enumerate() {
-                if z == dead {
-                    continue; // killed before it ever speaks
-                }
-                let device = &fed.devices[z];
-                let (cfg, policy) = (&cfg, &policy);
-                handles.push((
-                    z,
-                    scope.spawn(move |_| device_round(&device.data, z, cfg, &mut link, policy)),
-                ));
-            }
-            excluded = server_round(&mut server_link, z_count, &cfg, &policy)
-                .expect("server round should proceed at quorum Z-1 with one straggler");
-            drop(server_link);
-            for (z, h) in handles {
-                let round = h
-                    .join()
-                    .unwrap_or_else(|_| panic!("device {z} thread panicked"));
-                results[z] = Some(
-                    round.unwrap_or_else(|e| panic!("healthy device {z} failed its round: {e:?}")),
-                );
-            }
-        })
-        .expect("wire test scope should not leak a panic");
-        assert_eq!(excluded, vec![dead]);
+        let (server, results) = round_with_dead(&InMemoryTransport, &fed, &cfg, &policy, &[3]);
+        let excluded =
+            server.expect("server round should proceed at quorum Z-1 with one straggler");
+        assert_eq!(excluded, vec![3]);
         // Every healthy device got a full labelling of its shard.
         for (z, r) in results.iter().enumerate() {
-            if z != dead {
+            if z != 3 {
                 let r = r
                     .as_ref()
-                    .unwrap_or_else(|| panic!("device {z} produced no result"));
+                    .unwrap_or_else(|| panic!("device {z} produced no result"))
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("healthy device {z} failed its round: {e:?}"));
                 assert_eq!(r.len(), fed.devices[z].data.cols());
             }
         }
@@ -775,7 +700,7 @@ mod tests {
             deadline: Duration::from_millis(50),
             ..RoundPolicy::default()
         };
-        assert!(server_round(&mut server_link, z_count, &cfg, &policy).is_err());
+        assert!(server_round(&mut server_link, z_count, &cfg, &policy, None).is_err());
     }
 
     #[test]
@@ -806,9 +731,8 @@ mod tests {
         devices[1].send_uplink(&inner).expect("plain uplink");
 
         let mut fleet = FleetCollector::new();
-        let payloads =
-            collect_uplinks_fleet(&mut server, 2, Duration::from_secs(5), Some(&mut fleet))
-                .expect("collect the two uplinks");
+        let payloads = collect_uplinks(&mut server, 2, Duration::from_secs(5), Some(&mut fleet))
+            .expect("collect the two uplinks");
         for (z, p) in payloads.iter().enumerate() {
             let m = p.as_ref().unwrap_or_else(|| panic!("uplink {z} missing"));
             assert_eq!(m.samples.col(0), &[1.0, 2.0], "uplink {z} col 0");
@@ -830,7 +754,7 @@ mod tests {
         devices[0]
             .send_uplink(&Bytes::from(bogus))
             .expect("send the corrupt payload");
-        assert!(collect_uplinks_fleet(&mut server, 1, Duration::from_secs(5), None).is_err());
+        assert!(collect_uplinks(&mut server, 1, Duration::from_secs(5), None).is_err());
     }
 
     #[test]
@@ -863,13 +787,12 @@ mod tests {
                             }),
                             ..WireTelemetry::default()
                         };
-                        device_round_traced(&device.data, z, cfg, &mut link, policy, &telemetry)
+                        device_round(&device.data, z, cfg, &mut link, policy, &telemetry)
                     }),
                 ));
             }
-            let excluded =
-                server_round_fleet(&mut server_link, z_count, &cfg, &policy, Some(&mut fleet))
-                    .expect("ctx round server side");
+            let excluded = server_round(&mut server_link, z_count, &cfg, &policy, Some(&mut fleet))
+                .expect("ctx round server side");
             assert!(excluded.is_empty());
             // The envelope overhead is exactly accounted: observed uplink
             // bytes are the untraced payload plus the absorbed envelopes.
@@ -935,10 +858,19 @@ mod tests {
                 let (cfg, policy) = (&cfg, &policy);
                 handles.push((
                     z,
-                    scope.spawn(move |_| device_round(&device.data, z, cfg, &mut link, policy)),
+                    scope.spawn(move |_| {
+                        device_round(
+                            &device.data,
+                            z,
+                            cfg,
+                            &mut link,
+                            policy,
+                            &WireTelemetry::default(),
+                        )
+                    }),
                 ));
             }
-            server_out = Some(server_round(&mut server_link, z_count, cfg, policy));
+            server_out = Some(server_round(&mut server_link, z_count, cfg, policy, None));
             // Closing the server links unblocks devices a failed round
             // never answered.
             drop(server_link);

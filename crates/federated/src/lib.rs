@@ -8,7 +8,7 @@
 //!   (Fig. 7), and Section IV-E communication-cost accounting.
 //! * [`parallel`] — scoped-thread per-device execution with the
 //!   sequential/parallel timing split of the scalability analysis.
-//! * [`kfed`] — one-shot federated k-means (Dennis et al., ICML 2021) with
+//! * [`kfed`](mod@kfed) — one-shot federated k-means (Dennis et al., ICML 2021) with
 //!   the Table III PCA-10 / PCA-100 variants.
 //! * [`privacy`] — Gaussian-mechanism differential privacy for the uplink
 //!   (the paper's Remark 2 / Section VII future-work direction).

@@ -84,6 +84,13 @@ impl PrivacyLedger {
         self.max_device_delta = self.max_device_delta.max(d);
         self.devices += 1;
     }
+
+    /// Folds another device's (or run's) ledger into this one.
+    pub fn merge(&mut self, other: &PrivacyLedger) {
+        self.max_device_epsilon = self.max_device_epsilon.max(other.max_device_epsilon);
+        self.max_device_delta = self.max_device_delta.max(other.max_device_delta);
+        self.devices += other.devices;
+    }
 }
 
 /// Applies the Gaussian mechanism to a device's sample matrix (columns are

@@ -1,6 +1,6 @@
 //! Sparse (CSR) affinity graphs and Laplacians.
 //!
-//! The dense [`AffinityGraph`](crate::affinity::AffinityGraph) stores all
+//! The dense [`AffinityGraph`] stores all
 //! `n^2` weights, which caps the spectral pipeline around a few thousand
 //! nodes. Candidate-restricted SSC codes have `O(k)` nonzeros per column, so
 //! at `n = 16k` the affinity is ~99.7% zeros — this module keeps it in CSR

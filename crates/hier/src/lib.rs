@@ -21,12 +21,14 @@
 //!
 //! Guarantees:
 //!
-//! * **Degenerate tree ≡ flat round.** [`HierTopology::flat`] (no
-//!   aggregator tier) reuses the exact flat-round helpers
+//! * **Degenerate tree ≡ flat round.** Every node runs the same
+//!   [`fedsc::role`] as the flat round: devices [`fedsc::device_uplink`]
+//!   and [`fedsc::device_finish`], aggregators [`fedsc::Aggregator`], the
+//!   root [`fedsc::root_assign`], with the flat round's transport helpers
 //!   ([`fedsc::collect_uplinks`], [`fedsc::pool_uplinks`],
-//!   [`fedsc::device_local_output`], [`fedsc::majority_relabel`]) and the
-//!   root seeds its rng with [`fedsc::SERVER_RNG_SALT`], so its output is
-//!   bit-identical to [`fedsc::run_over_wire`] (tested).
+//!   [`fedsc::wrap_uplink`]). [`HierTopology::flat`] (no aggregator tier)
+//!   is therefore bit-identical to [`fedsc::run_over_wire`], differential
+//!   privacy and channel noise included (tested).
 //! * **Byte-exact per-tier accounting.** [`HierRunOutput`] extends
 //!   [`fedsc::WireRunOutput`] with one [`TierTraffic`] row per tier, summed
 //!   from the same [`fedsc_transport::LinkStats`] the endpoints keep.

@@ -1,20 +1,19 @@
 //! The staged, single-threaded tree driver.
 //!
-//! One hierarchical round is two sweeps over the tree:
+//! One hierarchical round is two sweeps over the tree, each node running
+//! its [`fedsc::role`]:
 //!
-//! 1. **Uplink sweep (bottom-up).** Every device runs Algorithm 2 and
-//!    sends its encoded samples; then tier by tier each parent collects
-//!    its children's uplinks under the tier's [`RoundPolicy`], pools them
-//!    in ascending child order, runs the Phase-2 central clustering on the
-//!    pooled samples (into `min(L, pooled)` merged clusters), and — unless
-//!    it is the root — forwards one representative sample per non-empty
-//!    merged cluster to its own parent.
-//! 2. **Downlink sweep (top-down).** The root broadcasts global
-//!    assignments for the top tier's representatives; each aggregator
-//!    receives the labels of *its* representatives, composes them through
-//!    its merged-cluster assignment (`child sample → merged cluster →
-//!    global label`), and relays one downlink per included child. Devices
-//!    finish with the flat round's majority relabel.
+//! 1. **Uplink sweep (bottom-up).** Every device runs
+//!    [`fedsc::device_uplink`] and sends its encoded samples; then tier by
+//!    tier each parent collects its children's uplinks under the tier's
+//!    [`fedsc::RoundPolicy`] and pools them in ascending child order. An
+//!    aggregator runs [`fedsc::Aggregator::merge`] and forwards its
+//!    representatives to its own parent; the root runs
+//!    [`fedsc::root_assign`].
+//! 2. **Downlink sweep (top-down).** The root answers the top tier; each
+//!    aggregator receives the labels of *its* representatives, composes
+//!    them with [`fedsc::Aggregator::relay`], and sends one downlink per
+//!    included child. Devices finish with [`fedsc::device_finish`].
 //!
 //! The sweeps are sequential on the calling thread: every send at tier
 //! `t` completes before any tier-`t` parent starts collecting, which all
@@ -26,25 +25,20 @@
 //! straggler; a parent that misses its quorum (or cannot reach its own
 //! parent within the retry budget) fails its whole subtree — those
 //! devices keep the fallback label 0 and are reported in
-//! [`WireRunOutput::excluded`]. A quorum miss *at the root* fails the
-//! round, exactly like the flat server.
+//! [`fedsc::WireRunOutput::excluded`]. A quorum miss *at the root* fails
+//! the round, exactly like the flat server.
 
 use crate::output::{HierRunOutput, TierTraffic};
 use crate::topology::{HierPolicy, HierTopology};
-use bytes::Bytes;
-use fedsc::central::{central_cluster, central_cluster_auto};
 use fedsc::local::LocalOutput;
 use fedsc::{
-    agg_seed, collect_uplinks_fleet, device_local_output, majority_relabel, pool_uplinks, wire_err,
-    FedScConfig, SERVER_RNG_SALT,
+    collect_uplinks, device_finish, device_uplink, pool_uplinks, recv_labels, root_assign,
+    send_labels, wire_err, wrap_uplink, Aggregator, FedScConfig, WireTelemetry,
 };
-use fedsc_federated::channel::{DownlinkMessage, UplinkMessage};
 use fedsc_federated::partition::FederatedDataset;
-use fedsc_linalg::{LinalgError, Matrix, Result};
-use fedsc_obs::{Envelope, FleetCollector, LazyCounter, Stopwatch, TraceContext};
+use fedsc_linalg::{LinalgError, Result};
+use fedsc_obs::{FleetCollector, LazyCounter, Stopwatch, TraceContext};
 use fedsc_transport::{with_retry, DeviceTransport, LinkStats, ServerTransport, Transport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Device rounds completed (uplink sent, downlink applied).
 static HIER_DEVICE_ROUNDS: LazyCounter = LazyCounter::new("hier.device_rounds");
@@ -60,38 +54,6 @@ static HIER_SUBTREES_FAILED: LazyCounter = LazyCounter::new("hier.subtrees_faile
 static HIER_UPLINK_BYTES: LazyCounter = LazyCounter::new("hier.uplink_bytes");
 /// Downlink bytes sent by parents, summed over every tier.
 static HIER_DOWNLINK_BYTES: LazyCounter = LazyCounter::new("hier.downlink_bytes");
-
-/// Wraps an uplink payload with a ctx-only telemetry envelope when
-/// tracing is on. The whole tree runs in one process here, so spans and
-/// metrics stay in the shared ring/registry and only the causal context
-/// rides the wire — the receiver's per-uplink span links to
-/// `ctx.parent_span` as its remote parent.
-fn wrap_ctx(payload: Bytes, traced: bool, ctx: TraceContext) -> Bytes {
-    if !traced {
-        return payload;
-    }
-    Bytes::from(
-        Envelope {
-            ctx: Some(ctx),
-            ..Envelope::default()
-        }
-        .wrap(payload.as_slice()),
-    )
-}
-
-/// What an aggregator remembers between the uplink and downlink sweeps.
-struct AggState {
-    /// Local (in-group) indices of the children that reported.
-    included: Vec<usize>,
-    /// Sample count per included child, in `included` order.
-    counts: Vec<usize>,
-    /// Merged-cluster assignment per pooled sample.
-    assignments: Vec<usize>,
-    /// Merged cluster → upload slot of its representative.
-    rep_slot: Vec<usize>,
-    /// Number of representatives uploaded.
-    reps: usize,
-}
 
 /// Runs one hierarchical Fed-SC round over `transport` with the given
 /// tree shape and per-tier policy. See the module docs for the staged
@@ -143,6 +105,21 @@ pub fn run_hier_round_with_dead<T: Transport>(
             v
         })
         .collect();
+    // The whole tree runs in one process, so spans and metrics stay in the
+    // shared ring and registry: only the causal context rides the wire,
+    // and only when tracing is on.
+    let telemetry = |tier: usize, node: usize| WireTelemetry {
+        ctx: traced.then_some(TraceContext {
+            run_id: cfg.seed,
+            round: 0,
+            tier: tier as u32,
+            node: node as u64,
+            parent: parent_of[tier][node] as u64,
+            pid: 1,
+            parent_span: 0,
+        }),
+        ..WireTelemetry::default()
+    };
     // Per-tier wall time and absorbed telemetry-envelope bytes.
     let mut tier_wall_ns = vec![0u64; num_tiers];
     let mut tier_env_bytes = vec![0usize; num_tiers];
@@ -181,26 +158,15 @@ pub fn run_hier_round_with_dead<T: Transport>(
             continue;
         }
         let dev_span = fedsc_obs::span("hier", "hier.device_uplink").field("device", z);
-        let dev_span_id = dev_span.id();
-        let out = device_local_output(&fed.devices[z].data, z, cfg)?;
-        let payload = wrap_ctx(
-            UplinkMessage {
-                dim: out.samples.rows(),
-                samples: out.samples.clone(),
-            }
-            .encode(),
-            traced,
-            TraceContext {
-                run_id: cfg.seed,
-                round: 0,
-                tier: 0,
-                node: z as u64,
-                parent: parent_of[0][z] as u64,
-                pid: 1,
-                parent_span: dev_span_id,
-            },
-        );
+        let up = device_uplink(&fed.devices[z].data, z, cfg)?;
         let link = &mut child_links[0][z];
+        let payload = wrap_uplink(
+            up.samples,
+            link,
+            &telemetry(0, z),
+            dev_span.id(),
+            FleetCollector::new(),
+        )?;
         if with_retry(
             device_policy.max_retries,
             device_policy.retry_backoff,
@@ -212,14 +178,14 @@ pub fn run_hier_round_with_dead<T: Transport>(
             // parent's quorum policy will account for, not a fatal error.
             continue;
         }
-        local_outs[z] = Some(out);
+        local_outs[z] = Some(up.local);
     }
     tier_wall_ns[0] += stage0_sw.elapsed_ns();
 
     // ---- Uplink sweep, stages 1..: tier-by-tier aggregation. ----
-    // `agg_states[t][p]`: what parent `p` of tier `t` remembers for the
+    // `aggregators[t][p]`: what parent `p` of tier `t` remembers for the
     // downlink sweep (None = failed subtree, or the root which needs none).
-    let mut agg_states: Vec<Vec<Option<AggState>>> = (0..num_tiers)
+    let mut aggregators: Vec<Vec<Option<Aggregator>>> = (0..num_tiers)
         .map(|t| (0..widths[t + 1]).map(|_| None).collect())
         .collect();
     // `answered[t][c]`: node `c` at level `t` was sent a downlink.
@@ -249,7 +215,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
             .field("node", p)
             .field("children", n_children);
             let agg_span_id = agg_span.id();
-            let payloads = collect_uplinks_fleet(
+            let payloads = collect_uplinks(
                 &mut servers[t][p],
                 n_children,
                 tier_policy.deadline,
@@ -285,76 +251,24 @@ pub fn run_hier_round_with_dead<T: Transport>(
             }
 
             if is_root {
-                // The root is the flat server: cluster into L under the
-                // flat rng stream, answer every included child.
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ SERVER_RNG_SALT);
-                let central = central_cluster(
-                    &pooled,
-                    cfg.num_clusters,
-                    included.len(),
-                    cfg.central,
-                    cfg.candidate_threshold,
-                    &mut rng,
-                )?;
-                let mut offset = 0usize;
-                for (&c, &r) in included.iter().zip(counts.iter()) {
-                    let assignments: Vec<u32> = central.assignments[offset..offset + r]
-                        .iter()
-                        .map(|&a| a as u32)
-                        .collect();
-                    offset += r;
-                    let reply = DownlinkMessage { assignments }.encode();
-                    with_retry(tier_policy.max_retries, tier_policy.retry_backoff, || {
-                        servers[t][p].send_downlink(c, &reply)
-                    })
-                    .map_err(wire_err)?;
+                // The root is the flat server: answer every included child.
+                let (_, labels) = root_assign(&pooled, &counts, cfg)?;
+                for (&c, labels) in included.iter().zip(labels) {
+                    send_labels(&mut servers[t][p], c, labels, &tier_policy)?;
                     answered[t][range.start + c] = true;
                 }
                 HIER_ROOT_ROUNDS.inc();
             } else {
-                // Merge the children's clusters and forward one
-                // representative per non-empty merged cluster. The merged
-                // count is eigengap-estimated (capped at L): a subtree
-                // may cover only a few of the global clusters, and
-                // forcing L partitions onto fewer natural groups makes
-                // spectral k-means mix subspaces.
-                let mut rng = StdRng::seed_from_u64(agg_seed(cfg.seed, t, p));
-                let (central, l_merge) = central_cluster_auto(
-                    &pooled,
-                    cfg.num_clusters.min(pooled.cols()),
-                    included.len(),
-                    cfg.central,
-                    cfg.candidate_threshold,
-                    &mut rng,
-                )?;
-                let mut rep_slot = vec![usize::MAX; l_merge];
-                let mut rep_cols: Vec<&[f64]> = Vec::with_capacity(l_merge);
-                for (s, &m) in central.assignments.iter().enumerate() {
-                    if rep_slot[m] == usize::MAX {
-                        rep_slot[m] = rep_cols.len();
-                        rep_cols.push(pooled.col(s));
-                    }
-                }
-                let reps = Matrix::from_columns(&rep_cols)?;
-                let payload = wrap_ctx(
-                    UplinkMessage {
-                        dim: reps.rows(),
-                        samples: reps,
-                    }
-                    .encode(),
-                    traced,
-                    TraceContext {
-                        run_id: cfg.seed,
-                        round: 0,
-                        tier: (t + 1) as u32,
-                        node: p as u64,
-                        parent: parent_of[t + 1][p] as u64,
-                        pid: 1,
-                        parent_span: agg_span_id,
-                    },
-                );
-                let up_policy = policy.tier(t + 1);
+                let (agg, reps) = Aggregator::merge(included, counts, &pooled, cfg, t, p)?;
                 let link = &mut child_links[t + 1][p];
+                let payload = wrap_uplink(
+                    reps,
+                    link,
+                    &telemetry(t + 1, p),
+                    agg_span_id,
+                    FleetCollector::new(),
+                )?;
+                let up_policy = policy.tier(t + 1);
                 if with_retry(up_policy.max_retries, up_policy.retry_backoff, || {
                     link.send_uplink(&payload)
                 })
@@ -365,13 +279,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
                     continue;
                 }
                 HIER_AGG_ROUNDS.inc();
-                agg_states[t][p] = Some(AggState {
-                    reps: rep_cols.len(),
-                    included,
-                    counts,
-                    assignments: central.assignments,
-                    rep_slot,
-                });
+                aggregators[t][p] = Some(agg);
             }
         }
         tier_env_bytes[t] = tier_fleet.envelope_bytes;
@@ -384,7 +292,7 @@ pub fn run_hier_round_with_dead<T: Transport>(
         let tier_policy = policy.tier(t);
         let parent_policy = policy.tier(t + 1);
         for p in 0..widths[t + 1] {
-            let Some(state) = agg_states[t][p].take() else {
+            let Some(agg) = aggregators[t][p].take() else {
                 continue; // failed subtree: children stay unanswered
             };
             if !answered[t + 1][p] {
@@ -393,33 +301,11 @@ pub fn run_hier_round_with_dead<T: Transport>(
             let _span = fedsc_obs::span("hier", "hier.agg_downlink")
                 .field("tier", t)
                 .field("node", p)
-                .field("children", state.included.len());
-            let reply = child_links[t + 1][p]
-                .recv_downlink(parent_policy.downlink_wait())
-                .map_err(wire_err)?;
-            let down = DownlinkMessage::decode(reply)
-                .ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
-            if down.assignments.len() != state.reps {
-                return Err(LinalgError::InvalidArgument(
-                    "downlink assignment count mismatch at an aggregator",
-                ));
-            }
-            // Compose: child sample → merged cluster → representative
-            // slot → global label.
+                .field("children", agg.included().len());
+            let parent_labels = recv_labels(&mut child_links[t + 1][p], &parent_policy)?;
             let range = topology.children_range(t, p);
-            let mut offset = 0usize;
-            for (&c, &r) in state.included.iter().zip(state.counts.iter()) {
-                let assignments: Vec<u32> = state.assignments[offset..offset + r]
-                    .iter()
-                    .map(|&m| down.assignments[state.rep_slot[m]])
-                    .collect();
-                offset += r;
-                let child_reply = DownlinkMessage { assignments }.encode();
-                if with_retry(tier_policy.max_retries, tier_policy.retry_backoff, || {
-                    servers[t][p].send_downlink(c, &child_reply)
-                })
-                .is_ok()
-                {
+            for (c, labels) in agg.relay(&parent_labels)? {
+                if send_labels(&mut servers[t][p], c, labels, &tier_policy).is_ok() {
                     answered[t][range.start + c] = true;
                 }
             }
@@ -437,31 +323,11 @@ pub fn run_hier_round_with_dead<T: Transport>(
             excluded_devices.push(z);
             continue;
         }
-        let reply = child_links[0][z]
-            .recv_downlink(device_policy.downlink_wait())
-            .map_err(wire_err)?;
-        let down = DownlinkMessage::decode(reply)
-            .ok_or(LinalgError::InvalidArgument("malformed downlink"))?;
+        let labels = recv_labels(&mut child_links[0][z], &device_policy)?;
         let out = local_outs[z]
             .take()
             .ok_or(LinalgError::InvalidArgument("answered device never ran"))?;
-        if down.assignments.len() != out.sample_cluster.len() {
-            return Err(LinalgError::InvalidArgument(
-                "downlink assignment count mismatch",
-            ));
-        }
-        let cluster_to_global = majority_relabel(
-            &out.sample_cluster,
-            out.num_local_clusters,
-            &down.assignments,
-            cfg.num_clusters,
-        );
-        gathered.push(
-            out.local_labels
-                .iter()
-                .map(|&c| cluster_to_global[c])
-                .collect(),
-        );
+        gathered.push(device_finish(&out, &labels, cfg.num_clusters)?);
         HIER_DEVICE_ROUNDS.inc();
     }
     tier_wall_ns[0] += finish_sw.elapsed_ns();

@@ -4,10 +4,11 @@
 //! byte-exact per-tier accounting, and per-tier quorum failures must fail
 //! whole subtrees without failing the round.
 
-use fedsc::{device_local_output, run_over_wire, CentralBackend, FedScConfig, RoundPolicy};
+use fedsc::{device_uplink, run_over_wire, CentralBackend, FedSc, FedScConfig, RoundPolicy};
 use fedsc_clustering::clustering_accuracy;
 use fedsc_federated::channel::UplinkMessage;
 use fedsc_federated::partition::{partition_dataset, FederatedDataset, Partition};
+use fedsc_federated::privacy::DpConfig;
 use fedsc_hier::{run_hier_round, run_hier_round_with_dead, HierPolicy, HierTopology, TierTraffic};
 use fedsc_subspace::SubspaceModel;
 use fedsc_transport::{FaultConfig, FaultyInMemoryTransport, InMemoryTransport, TcpTransport};
@@ -44,27 +45,39 @@ fn deep_fixture(seed: u64, devices: usize) -> (FederatedDataset, FedScConfig) {
 
 #[test]
 fn flat_topology_is_bit_identical_to_run_over_wire() {
-    let (fed, cfg) = fixture(1, 12);
-    let flat = run_over_wire(&fed, &cfg).expect("flat reference round (seed-1 fixture)");
-    let topo = HierTopology::flat(12);
-    let hier = run_hier_round(
-        &fed,
-        &cfg,
-        &topo,
-        &InMemoryTransport,
-        &HierPolicy::default(),
-    )
-    .expect("degenerate single-tier round (seed-1 fixture)");
-    // Same helpers, same seeds, same rng salt: the degenerate tree cannot
-    // drift from the flat round — bit for bit, bytes included.
-    assert_eq!(hier.wire.predictions, flat.predictions);
-    assert_eq!(hier.wire.uplink_bytes, flat.uplink_bytes);
-    assert_eq!(hier.wire.downlink_bytes, flat.downlink_bytes);
-    assert_eq!(hier.wire.excluded, flat.excluded);
-    assert_eq!(hier.tiers.len(), 1);
-    assert_eq!(hier.tiers[0].uplink_bytes, flat.uplink_bytes);
-    assert_eq!(hier.tiers[0].uplink_messages, 12);
-    assert_eq!(hier.tiers[0].downlink_messages, 12);
+    let (fed, plain) = fixture(1, 12);
+    // The same fixture with differential privacy on every uplink.
+    let mut private = plain.clone();
+    private.dp = Some(DpConfig::new(2.0, 1e-5));
+    for cfg in [plain, private] {
+        let flat = run_over_wire(&fed, &cfg).expect("flat reference round (seed-1 fixture)");
+        let topo = HierTopology::flat(12);
+        let hier = run_hier_round(
+            &fed,
+            &cfg,
+            &topo,
+            &InMemoryTransport,
+            &HierPolicy::default(),
+        )
+        .expect("degenerate single-tier round (seed-1 fixture)");
+        // Same roles, same seeds, same rng salt: the degenerate tree cannot
+        // drift from the flat round — bit for bit, bytes included.
+        assert_eq!(hier.wire.predictions, flat.predictions);
+        assert_eq!(hier.wire.uplink_bytes, flat.uplink_bytes);
+        assert_eq!(hier.wire.downlink_bytes, flat.downlink_bytes);
+        assert_eq!(hier.wire.excluded, flat.excluded);
+        assert_eq!(hier.tiers.len(), 1);
+        assert_eq!(hier.tiers[0].uplink_bytes, flat.uplink_bytes);
+        assert_eq!(hier.tiers[0].uplink_messages, 12);
+        assert_eq!(hier.tiers[0].downlink_messages, 12);
+        // Both shapes also match the in-process reference, which is what
+        // shows the tree privatizes: a tree and a flat round that both
+        // skipped DP would still agree with each other.
+        let in_process = FedSc::new(cfg.clone())
+            .run(&fed)
+            .expect("in-process reference run (seed-1 fixture)");
+        assert_eq!(hier.wire.predictions, in_process.predictions);
+    }
 }
 
 #[test]
@@ -184,11 +197,11 @@ fn tier_zero_accounting_is_byte_exact() {
     // payload is deterministic — recompute the exact tier-0 ingress.
     let expected_up: usize = (0..12)
         .map(|z| {
-            let out = device_local_output(&fed.devices[z].data, z, &cfg)
-                .expect("device local output is deterministic");
+            let up = device_uplink(&fed.devices[z].data, z, &cfg)
+                .expect("device uplink is deterministic");
             UplinkMessage {
-                dim: out.samples.rows(),
-                samples: out.samples,
+                dim: up.samples.rows(),
+                samples: up.samples,
             }
             .encode()
             .len()

@@ -22,7 +22,7 @@
 //!   bounded by the largest `threads` any call requested (minus the caller,
 //!   who always participates), not a per-call churn count.
 //! * A worker that runs out of claimable tickets **spins briefly before
-//!   parking** ([`SPIN_POLLS`] polls of a publish epoch): workloads that
+//!   parking** (`SPIN_POLLS` polls of a publish epoch): workloads that
 //!   issue bursts of back-to-back parallel calls (the per-point Lasso sweep,
 //!   the blocked kernels) would otherwise pay a futex wake on every call,
 //!   which BENCH_PR6 measured at milliseconds of added latency per small
@@ -498,7 +498,7 @@ where
 /// Ignores the [`MIN_INLINE_ITEMS`] inline threshold and always engages the
 /// pool when `threads > 1`: a round of four device fits is exactly the shape
 /// the threshold would wrongly serialize. Indices are claimed one at a time
-/// (see [`CLAIM_BLOCK`]) so even a two-item fan-out splits across threads.
+/// (see `CLAIM_BLOCK`) so even a two-item fan-out splits across threads.
 pub fn par_map_heavy<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
